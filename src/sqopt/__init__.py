@@ -52,7 +52,6 @@ from .smoothing import (
     divergence,
     divergence_from_density,
     divergence_max,
-    dual_breakpoints,
     scalar_conjugate,
     scalar_conjugate_grad,
     smoothed_positive_part,

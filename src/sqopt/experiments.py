@@ -55,7 +55,7 @@ class FitSettings:
     max_iter: int = 500
 
     def model(self) -> ModelSpec:
-        return ModelSpec(kind=self.model_kind, degree=self.degree, loss=self.loss, reg=self.reg)
+        return ModelSpec(kind=self.model_kind, degree=self.degree, loss=self.loss)
 
     def smoothing_spec(self) -> SmoothingSpec:
         return SmoothingSpec(self.smoothing, self.nu)

@@ -65,7 +65,6 @@ class ModelSpec:
     kind: str = "linear"
     degree: int = 1
     loss: str = "squared"
-    reg: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial"):
@@ -74,8 +73,6 @@ class ModelSpec:
             raise ValueError("polynomial degree must be >= 1")
         if self.loss not in ("squared", "logistic"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.reg < 0:
-            raise ValueError("reg must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -171,12 +168,15 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
 def grouped_loss_map(dataset: Dataset, model: ModelSpec, groups: GroupStructure) -> LossMap:
     """One loss component per group: the plain average over the group's rows.
 
-    With uniform group weights, minimizing the tail risk of this map at level
+    Only uniform group weights are supported; a structure with any other
+    ``alpha`` is rejected.  Minimizing the tail risk of this map at level
     ``p = 1 - c`` protects every test mixture of the group distributions
     whose conformity is at least ``c``.
     """
     if groups.assignment.shape[0] != dataset.n_rows:
         raise ValueError("group assignment length must match the dataset")
+    if np.ptp(groups.alpha) > 1e-12:
+        raise ValueError("grouped_loss_map supports uniform group weights alpha only")
     base = pointwise_loss_map(dataset, model)
     assign = groups.assignment
     m = groups.n_groups

@@ -10,6 +10,7 @@ gradient is a single weighted adjoint application.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,11 +80,21 @@ class SubdifferentialDescription:
         return self.fixed_part + self.hull_weight * mix
 
 
-def _checked_losses(loss_map: LossMap, w: np.ndarray) -> np.ndarray:
+def _finite_losses(loss_map: LossMap, w: np.ndarray) -> np.ndarray | None:
     u = np.asarray(loss_map.eval(w), dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("loss map returned non-finite values")
-    return u
+    return u if np.all(np.isfinite(u)) else None
+
+
+def _non_finite(w: np.ndarray) -> tuple[float, np.ndarray]:
+    # read by ``minimize`` as a failed trial step, not raised
+    return math.inf, np.full(w.shape, np.nan)
+
+
+def _ridge(w: np.ndarray, n: int, reg: float) -> tuple[float, np.ndarray]:
+    """Ridge term ``reg/(2n) ||w||^2`` and its gradient."""
+    if not reg >= 0.0:
+        raise ValueError(f"reg must be nonnegative, got {reg}")
+    return 0.5 * reg / n * float(w @ w), (reg / n) * w
 
 
 def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescription:
@@ -95,7 +106,9 @@ def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescriptio
     """
     w = np.asarray(w, dtype=float)
     p = check_tail(p)
-    u = _checked_losses(loss_map, w)
+    u = _finite_losses(loss_map, w)
+    if u is None:
+        raise ValueError("loss map returned non-finite values")
     n = u.size
     split = tail_split(u, p)
 
@@ -122,38 +135,42 @@ def smoothed_value_grad(loss_map: LossMap, w, p: float,
 
     Exactly one ``eval`` and one ``adjoint_apply`` per call: the smoothed
     weights come from the scalar dual solve on the loss values, and the
-    gradient is their adjoint image.
+    gradient is their adjoint image.  Non-finite losses give the value
+    ``inf`` and a NaN gradient, without an ``adjoint_apply``.
     """
     w = np.asarray(w, dtype=float)
-    u = _checked_losses(loss_map, w)
+    u = _finite_losses(loss_map, w)
+    if u is None:
+        return _non_finite(w)
     sol = solve_dual_1d(u, spec, p)
     grad = np.asarray(loss_map.adjoint_apply(w, sol.weights), dtype=float)
     return sol.value, grad
 
 
 def erm_value_grad(loss_map: LossMap, w, reg: float = 0.0) -> tuple[float, np.ndarray]:
-    """Mean-loss objective with ridge term ``reg/(2n) ||w||^2``."""
+    """Mean-loss objective with ridge term ``reg/(2n) ||w||^2``.
+
+    Non-finite losses give the value ``inf`` and a NaN gradient.
+    """
     w = np.asarray(w, dtype=float)
-    u = _checked_losses(loss_map, w)
+    ridge_value, ridge_grad = _ridge(w, loss_map.n, reg)
+    u = _finite_losses(loss_map, w)
+    if u is None:
+        return _non_finite(w)
     n = u.size
-    value = float(u.mean()) + 0.5 * reg / n * float(w @ w)
     grad = np.asarray(loss_map.adjoint_apply(w, np.full(n, 1.0 / n)), dtype=float)
-    grad = grad + (reg / n) * w
-    return value, grad
+    return float(u.mean()) + ridge_value, grad + ridge_grad
 
 
 def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
                        reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` for the ridge-regularized smoothed objective."""
-    n = loss_map.n
 
     def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
+        w = np.asarray(w, dtype=float)
         value, grad = smoothed_value_grad(loss_map, w, p, spec)
-        if reg != 0.0:
-            w_arr = np.asarray(w, dtype=float)
-            value += 0.5 * reg / n * float(w_arr @ w_arr)
-            grad = grad + (reg / n) * w_arr
-        return value, grad
+        ridge_value, ridge_grad = _ridge(w, loss_map.n, reg)
+        return value + ridge_value, grad + ridge_grad
 
     return oracle
 

@@ -10,9 +10,13 @@ Two divergences are supported:
 * ``kl``        -- ``D(q) = sum(q_i log(n q_i))`` (Kullback-Leibler to uniform).
 
 For a separable divergence the dual of the regularized problem is a smooth
-convex function of a single scalar shift, minimized here either in closed
-form (after bracketing the root of its derivative between two of at most
-``2n`` precomputed breakpoints) or by a bisection fallback.
+convex function of a single scalar shift with a monotone derivative.
+:func:`solve_dual_1d` finds the root of that derivative for both divergences
+with one safeguarded Newton iteration: it centres the sample at its
+p-quantile, brackets the root in closed form without sorting, and takes the
+slope and the curvature from one O(n) pass per step, bisecting the bracket
+when a step leaves it or stalls.  :func:`bisect_dual` is the independent
+bisection-only reference.
 
 The module also hosts the equivalence toolkit between this smoothing and the
 classical smoothing of the positive part: ``smoothed_positive_part`` (one
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import expit, logsumexp, ndtr, ndtri, xlogy
+from scipy.special import expit, ndtr, ndtri, xlogy
 
-from .core import as_sample, check_tail, tail_cap
+from .core import as_sample, check_tail, quantile, tail_cap
 
 __all__ = [
     "EUCLIDEAN",
@@ -39,7 +43,6 @@ __all__ = [
     "DualSolution",
     "scalar_conjugate",
     "scalar_conjugate_grad",
-    "dual_breakpoints",
     "dual_objective",
     "dual_derivative",
     "solve_dual_1d",
@@ -61,6 +64,7 @@ KL = "kl"
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,21 @@ def _conjugate_raw(s: np.ndarray, kind: str, nu: float, n: int, p: float, cap: f
     return np.where(s >= hi, cap * (s + nu * math.log1p(-p)), nu * t)
 
 
-def _conjugate_grad_raw(s: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float) -> np.ndarray:
+def _weights_and_curvature(s: np.ndarray, kind: str, nu: float, n: int, p: float,
+                           cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal weights at the shifted values ``s = u - eta`` and their curvature shares.
+
+    The second derivative of the dual function is ``curvature.sum() / nu``:
+    a weight strictly inside ``(0, cap)`` contributes 1 (``euclidean``) or
+    its own value (``kl``), a weight at a bound contributes nothing.
+    """
     if kind == EUCLIDEAN:
-        return np.clip(s / nu + 1.0 / n, 0.0, cap)
+        t = np.clip(s / nu + 1.0 / n, 0.0, cap)
+        return t, (t > 0.0) & (t < cap)
     hi = nu * (1.0 - math.log1p(-p))
+    saturated = s >= hi
     t = np.exp(np.minimum(s, hi) / nu - 1.0) / n
-    return np.where(s >= hi, cap, np.minimum(t, cap))
+    return np.where(saturated, cap, np.minimum(t, cap)), np.where(saturated, 0.0, t)
 
 
 def scalar_conjugate(s, spec: SmoothingSpec, n: int, p: float):
@@ -131,27 +144,8 @@ def scalar_conjugate_grad(s, spec: SmoothingSpec, n: int, p: float):
     """
     p = check_tail(p)
     s_arr = np.asarray(s, dtype=float)
-    out = _conjugate_grad_raw(s_arr, spec.kind, spec.nu, n, p, tail_cap(n, p))
+    out, _ = _weights_and_curvature(s_arr, spec.kind, spec.nu, n, p, tail_cap(n, p))
     return out if s_arr.ndim else float(out)
-
-
-def dual_breakpoints(values, spec: SmoothingSpec, p: float) -> np.ndarray:
-    """Sorted shifts at which some weight enters or leaves its bound.
-
-    Between two consecutive breakpoints the active branch of every weight is
-    fixed, so the dual derivative is linear (``euclidean``) or has a closed
-    log-sum-exp root (``kl``).  At most ``2n`` points; ``n`` for ``kl`` whose
-    lower threshold sits at minus infinity.
-    """
-    u = as_sample(values)
-    p = check_tail(p)
-    nu = spec.nu
-    n = u.size
-    if spec.kind == EUCLIDEAN:
-        pts = np.concatenate([u + nu / n, u - (nu / n) * (p / (1.0 - p))])
-    else:
-        pts = u + nu * (math.log1p(-p) - 1.0)
-    return np.unique(pts)
 
 
 def dual_objective(eta: float, values, spec: SmoothingSpec, p: float) -> float:
@@ -168,11 +162,12 @@ def dual_derivative(eta: float, values, spec: SmoothingSpec, p: float) -> float:
     """
     u = as_sample(values)
     p = check_tail(p)
-    return float(1.0 - _conjugate_grad_raw(u - eta, spec.kind, spec.nu, u.size, p, tail_cap(u.size, p)).sum())
+    return _slope(eta, u, spec.kind, spec.nu, u.size, p, tail_cap(u.size, p))
 
 
 def _slope(eta: float, u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float) -> float:
-    return float(1.0 - _conjugate_grad_raw(u - eta, kind, nu, n, p, cap).sum())
+    weights, _ = _weights_and_curvature(u - eta, kind, nu, n, p, cap)
+    return float(1.0 - weights.sum())
 
 
 def _slope_eps(p: float) -> float:
@@ -183,16 +178,6 @@ def _slope_eps(p: float) -> float:
     asymptote is 0 and must be recognized through this floor.
     """
     return max(1e-12, 16.0 * np.finfo(float).eps / (1.0 - p))
-
-
-def _kl_closed_form(u: np.ndarray, nu: float, n: int, p: float, cap: float,
-                    saturated: np.ndarray) -> float | None:
-    """Root of the KL dual derivative given the set of cap-saturated indices."""
-    unsat = u[~saturated]
-    free_mass = 1.0 - float(saturated.sum()) * cap
-    if unsat.size == 0 or free_mass <= 0.0:
-        return None
-    return nu * (float(logsumexp(unsat / nu)) - 1.0 - math.log(n * free_mass))
 
 
 def _bisect(u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float,
@@ -212,129 +197,96 @@ def _bisect(u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float,
     return mid
 
 
-def _bisect_extended(u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float,
-                     lo: float, hi: float) -> float:
-    """Grow the bracket exponentially until the slope changes sign, then bisect."""
-    eps = _slope_eps(p)
-    if _slope(lo, u, kind, nu, n, p, cap) > eps:
-        span = max(hi - lo, nu, 1.0)
-        for _ in range(60):
-            lo -= span
-            span *= 2.0
-            if _slope(lo, u, kind, nu, n, p, cap) <= eps:
-                break
-    if _slope(hi, u, kind, nu, n, p, cap) < -eps:
-        span = max(hi - lo, nu, 1.0)
-        for _ in range(60):
-            hi += span
-            span *= 2.0
-            if _slope(hi, u, kind, nu, n, p, cap) >= -eps:
-                break
-    return _bisect(u, kind, nu, n, p, cap, lo, hi)
+def _newton_step(slope: float, curvature: float, kind: str, nu: float) -> float:
+    """Newton step on the dual derivative; infinite where the model has no root.
 
-
-def _curvature(eta: float, u: np.ndarray, kind: str, nu: float, n: int, p: float,
-               cap: float) -> float:
-    """Second derivative of the dual function (sum of the interior curvatures)."""
-    s = u - eta
+    For ``euclidean`` the free weights are linear in the shift.  For ``kl``
+    they are linear in ``x = exp(-eta / nu)``, where the weights' sum is
+    concave and piecewise linear, so the step is taken in x: it lands on the
+    root when no weight reaches the cap on the way, while a step in ``eta``
+    shrinks an exponential tail only by a factor ``e``.
+    """
     if kind == EUCLIDEAN:
-        t = s / nu + 1.0 / n
-        return float(((t > 0.0) & (t < cap)).sum()) / nu
-    hi = nu * (1.0 - math.log1p(-p))
-    t = np.exp(np.minimum(s, hi) / nu - 1.0) / n
-    return float(np.where(s >= hi, 0.0, t).sum()) / nu
+        return -nu * slope / curvature if curvature > 0.0 else math.copysign(math.inf, -slope)
+    ratio = slope / curvature if curvature > 0.0 else -math.inf
+    return -nu * math.log1p(ratio) if ratio > -1.0 else math.inf
 
 
-def _solution_at(eta: float, u: np.ndarray, kind: str, nu: float, n: int, p: float,
+def _solution_at(v: np.ndarray, shift: float, eta: float, weights: np.ndarray,
+                 curvature: np.ndarray, kind: str, nu: float, n: int, p: float,
                  cap: float) -> DualSolution:
-    # Newton polish: closed-form roots carry rounding amplified by 1/nu,
-    # and the weights must sum to one to high accuracy
-    for _ in range(3):
-        s = _slope(eta, u, kind, nu, n, p, cap)
-        if abs(s) <= 1e-14:
-            break
-        c = _curvature(eta, u, kind, nu, n, p, cap)
-        if not c > 0.0:
-            break
-        eta = eta - s / c
-    weights = _conjugate_grad_raw(u - eta, kind, nu, n, p, cap)
+    """Weights, threshold ``shift + eta`` and value of a dual solve on ``v = u - shift``."""
     # the quantization of eta floors the achievable |sum - 1| at
-    # curvature * ulp(eta); spread that residual over the interior
-    # coordinates, which is how an infinitesimal eta shift would act
+    # curvature * ulp(eta); spread that residual over the coordinates in
+    # proportion to their curvature, which is how an infinitesimal eta
+    # shift would act
     resid = float(weights.sum()) - 1.0
-    if resid != 0.0 and abs(resid) < 1e-8:
-        interior = (weights > 0.0) & (weights < cap)
-        k = int(interior.sum())
-        if k:
-            adjusted = weights[interior] - resid / k
-            if adjusted.min() >= 0.0 and adjusted.max() <= cap:
-                weights = weights.copy()
-                weights[interior] = adjusted
-    value = float(eta + _conjugate_raw(u - eta, kind, nu, n, p, cap).sum())
-    return DualSolution(threshold=float(eta), weights=weights, value=value)
+    total = float(curvature.sum())
+    if resid != 0.0 and abs(resid) < 1e-8 and total > 0.0:
+        adjusted = weights - (resid / total) * curvature
+        if adjusted.min() >= 0.0 and adjusted.max() <= cap:
+            weights = adjusted
+    value = shift + (eta + float(_conjugate_raw(v - eta, kind, nu, n, p, cap).sum()))
+    return DualSolution(threshold=float(shift + eta), weights=weights, value=value)
 
 
 def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
     """Minimize the scalar dual of the smoothed superquantile.
 
-    Strategy: locate the sign change of the dual derivative between two
-    consecutive breakpoints, then finish in closed form (linear interpolation
-    for ``euclidean`` whose derivative is piecewise linear, a log-sum-exp
-    root for ``kl``).  If the derivative vanishes exactly at a breakpoint
-    that breakpoint is returned.  Bisection covers any remaining case.
+    The dual derivative ``1 - sum(weights)`` is non-decreasing in the shift
+    ``eta``, and one safeguarded Newton iteration finds its root for both
+    divergences.  The sample is centred at its p-quantile, so that the shift
+    keeps its resolution under a large common offset.  The iteration starts
+    where the p-quantile has weight ``1/n``, inside a bracket whose ends are
+    known in closed form.  Each pass over the sample gives the derivative
+    and the curvature.  The iteration bisects the bracket instead of taking
+    the Newton step when that step leaves the bracket or has no root, or
+    when the derivative did not halve since the previous pass.
     """
     u = as_sample(values)
     p = check_tail(p)
     kind, nu = spec.kind, spec.nu
     n = u.size
     cap = tail_cap(n, p)
-    bps = dual_breakpoints(u, spec, p)
-    eps = _slope_eps(p)
-
-    s_first = _slope(float(bps[0]), u, kind, nu, n, p, cap)
-    s_last = _slope(float(bps[-1]), u, kind, nu, n, p, cap)
-
-    if s_first > eps:
-        # defensive: cannot happen for the two built-in kinds
-        eta = _bisect_extended(u, kind, nu, n, p, cap, float(bps[0]) - 1.0, float(bps[0]))
-    elif abs(s_last) <= eps:
-        eta = float(bps[-1])
-    elif s_last < 0.0:
-        # the root lies beyond the last breakpoint; for KL nothing is
-        # saturated out there and the closed form applies directly
-        eta = None
-        if kind == KL:
-            eta = _kl_closed_form(u, nu, n, p, cap, np.zeros(n, dtype=bool))
-        if eta is None:
-            eta = _bisect_extended(u, kind, nu, n, p, cap, float(bps[-1]), float(bps[-1]) + 1.0)
+    shift = quantile(u, p)
+    v = u - shift
+    # a weight is 1/n at v - eta = s_uniform and at the cap from v - eta = s_cap on
+    if kind == EUCLIDEAN:
+        s_uniform, s_cap = 0.0, (nu / n) * p / (1.0 - p)
     else:
-        lo, hi = 0, len(bps) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _slope(float(bps[mid]), u, kind, nu, n, p, cap) <= eps:
-                lo = mid
-            else:
-                hi = mid
-        eta_lo, eta_hi = float(bps[lo]), float(bps[hi])
-        s_lo = _slope(eta_lo, u, kind, nu, n, p, cap)
-        if abs(s_lo) <= eps:
-            eta = eta_lo
-        elif kind == EUCLIDEAN:
-            s_hi = _slope(eta_hi, u, kind, nu, n, p, cap)
-            eta = eta_lo - s_lo * (eta_hi - eta_lo) / (s_hi - s_lo)
+        s_uniform, s_cap = nu, nu * (1.0 - math.log1p(-p))
+    # at lo the p-quantile and every larger value, more than n(1-p) of them,
+    # sit at the cap; at hi every weight is at most 1/n
+    lo, hi = -s_cap, float(v.max()) - s_uniform
+    eta = -s_uniform
+    tol = _slope_eps(p)
+    previous = math.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        weights, curvature = _weights_and_curvature(v - eta, kind, nu, n, p, cap)
+        slope = 1.0 - float(weights.sum())
+        if abs(slope) <= tol:
+            break
+        if slope < 0.0:
+            lo = eta
         else:
-            per_point = u + nu * (math.log1p(-p) - 1.0)
-            eta = _kl_closed_form(u, nu, n, p, cap, per_point > eta_lo)
-            if eta is None:
-                eta = _bisect(u, kind, nu, n, p, cap, eta_lo, eta_hi)
-            else:
-                eta = min(max(eta, eta_lo), eta_hi)
-    return _solution_at(float(eta), u, kind, nu, n, p, cap)
+            hi = eta
+        step = eta + _newton_step(slope, float(curvature.sum()), kind, nu)
+        if step == eta:
+            break
+        if not lo < step < hi or abs(slope) > 0.5 * previous:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        previous = abs(slope)
+        eta = step
+    else:
+        weights, curvature = _weights_and_curvature(v - eta, kind, nu, n, p, cap)
+    return _solution_at(v, shift, eta, weights, curvature, kind, nu, n, p, cap)
 
 
 def bisect_dual(values, spec: SmoothingSpec, p: float, tol: float = _BISECT_TOL,
                 max_iter: int = _BISECT_MAX_ITER) -> DualSolution:
-    """Solve the scalar dual by bisection only (reference path, no breakpoints)."""
+    """Solve the scalar dual by bisection only (reference path, no Newton steps)."""
     u = as_sample(values)
     p = check_tail(p)
     kind, nu = spec.kind, spec.nu
@@ -358,7 +310,8 @@ def bisect_dual(values, spec: SmoothingSpec, p: float, tol: float = _BISECT_TOL,
             if _slope(hi, u, kind, nu, n, p, cap) >= -eps:
                 break
     eta = _bisect(u, kind, nu, n, p, cap, lo, hi, tol=tol, max_iter=max_iter)
-    return _solution_at(eta, u, kind, nu, n, p, cap)
+    weights, curvature = _weights_and_curvature(u - eta, kind, nu, n, p, cap)
+    return _solution_at(u, 0.0, eta, weights, curvature, kind, nu, n, p, cap)
 
 
 def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float, np.ndarray]:

@@ -130,6 +130,10 @@ class TestFit:
     def test_missing_data_file(self, tmp_path):
         assert run(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_reg_exits_2(self, regression_csv, tmp_path, capsys):
+        assert run(["fit", "--data", regression_csv, "--reg", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "reg must be nonnegative" in capsys.readouterr().err
+
     def test_bad_model_flag(self, regression_csv, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["fit", "--data", regression_csv, "--model", "tree", "--out", str(tmp_path / "o")])

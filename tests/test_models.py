@@ -49,8 +49,6 @@ class TestModelSpec:
             ModelSpec(kind="polynomial", degree=0)
         with pytest.raises(ValueError, match="loss"):
             ModelSpec(loss="hinge")
-        with pytest.raises(ValueError, match="reg"):
-            ModelSpec(reg=-1.0)
 
     def test_polynomial_design(self):
         x = np.array([0.0, 1.0, 2.0])
@@ -187,6 +185,14 @@ class TestGroupedLossMap:
         w = rng.normal(0, 1, 2)
         assert gm.n == 1
         assert gm.eval(w)[0] == pytest.approx(pointwise_loss_map(ds, model).eval(w).mean(), rel=1e-14)
+
+    def test_non_uniform_alpha_rejected(self):
+        ds = Dataset(np.zeros((4, 1)), np.zeros(4))
+        assignment = np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="uniform"):
+            grouped_loss_map(ds, ModelSpec(), GroupStructure(assignment, alpha=np.array([0.7, 0.3])))
+        gm = grouped_loss_map(ds, ModelSpec(), GroupStructure(assignment, alpha=np.array([0.5, 0.5])))
+        assert gm.n == 2
 
     def test_assignment_length_checked(self):
         ds = Dataset(np.zeros((3, 1)), np.zeros(3))

@@ -15,7 +15,8 @@ from sqopt import (
     superquantile_dual,
     superquantile_integral,
 )
-from sqopt.oracles import finite_difference_grad, smoothed_objective
+from sqopt.oracles import erm_objective, finite_difference_grad, smoothed_objective
+from sqopt.optim import LINE_SEARCH_FAILURE, OptimResult, minimize
 from sqopt.smoothing import divergence_max
 
 from reference import finite_difference
@@ -226,6 +227,42 @@ class TestErmOracle:
         base_value, base_grad = smoothed_value_grad(lm, w, 0.8, SmoothingSpec("euclidean", 0.1))
         assert value == pytest.approx(base_value + 1.5 / lm.n * float(w @ w), rel=1e-12)
         np.testing.assert_allclose(grad - base_grad, (3.0 / lm.n) * w, rtol=1e-12, atol=1e-15)
+
+    def test_negative_reg_rejected(self):
+        lm = linear_loss_map([1.0, 2.0])
+        w = np.array([1.0])
+        with pytest.raises(ValueError, match="reg"):
+            erm_value_grad(lm, w, -1.0)
+        with pytest.raises(ValueError, match="reg"):
+            smoothed_objective(lm, 0.5, SmoothingSpec("euclidean", 1.0), reg=-1.0)(w)
+
+
+class TestNonFiniteLosses:
+    def test_value_grad_report_inf_and_nan(self):
+        adjoint_calls = []
+        lm = LossMap(dim=2, n=2, eval=lambda w: np.array([np.inf, 0.0]),
+                     adjoint_apply=lambda w, q: adjoint_calls.append(q) or np.zeros(2))
+        for value, grad in (smoothed_value_grad(lm, np.zeros(2), 0.5, SmoothingSpec("kl", 1.0)),
+                            erm_value_grad(lm, np.zeros(2))):
+            assert value == np.inf
+            assert grad.shape == (2,) and np.all(np.isnan(grad))
+        assert adjoint_calls == []
+
+    @pytest.mark.parametrize("objective", ["smoothed", "erm"])
+    def test_overflowing_line_search_is_a_status(self, objective):
+        rng = np.random.default_rng(41)
+        x = rng.normal(0.0, 1.0, (50, 3)) * 1e150
+        y = rng.normal(0.0, 1.0, 50)
+        lm = pointwise_loss_map(Dataset(x, y), ModelSpec())
+        if objective == "smoothed":
+            oracle = smoothed_objective(lm, 0.9, SmoothingSpec("euclidean", 0.1))
+        else:
+            oracle = erm_objective(lm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = minimize(oracle, np.zeros(3))
+        assert isinstance(result, OptimResult)
+        assert result.status == LINE_SEARCH_FAILURE
+        assert np.isfinite(result.value)
 
 
 class TestFiniteDifferenceHelper:

@@ -14,7 +14,6 @@ from sqopt import (
     divergence,
     divergence_from_density,
     divergence_max,
-    dual_breakpoints,
     scalar_conjugate,
     scalar_conjugate_grad,
     smoothed_positive_part,
@@ -113,30 +112,6 @@ class TestScalarConjugate:
             g = scalar_conjugate_grad(s, spec, n, p)
             assert np.all(np.diff(g) >= -1e-15)
             assert g.min() >= 0.0 and g.max() <= tail_cap(n, p) + 1e-15
-
-
-class TestBreakpoints:
-    def test_euclidean_formula(self):
-        u = np.array([0.0, 1.0, -2.0])
-        nu, p, n = 0.8, 0.25, 3
-        pts = dual_breakpoints(u, SmoothingSpec("euclidean", nu), p)
-        expected = np.unique(np.concatenate([u + nu / n, u - (nu / n) * p / (1 - p)]))
-        np.testing.assert_allclose(pts, expected, atol=0)
-        assert pts.size <= 2 * n
-
-    def test_single_point_euclidean(self):
-        pts = dual_breakpoints([0.0], SmoothingSpec("euclidean", 1.0), 0.5)
-        np.testing.assert_allclose(pts, [-1.0, 1.0], atol=0)
-
-    def test_kl_single_threshold_per_point(self):
-        # the lower threshold sits at -inf, so one breakpoint per value:
-        # u_i - nu * (1 - log(1-p)) under the divergence-to-uniform scaling
-        u = np.array([0.0, 2.0, 5.0])
-        nu, p = 0.5, 0.2
-        pts = dual_breakpoints(u, SmoothingSpec("kl", nu), p)
-        expected = np.sort(u + nu * (math.log1p(-p) - 1.0))
-        np.testing.assert_allclose(pts, expected, atol=0)
-        assert pts.size == u.size
 
 
 class TestDualSolver:
@@ -243,9 +218,52 @@ class TestDualSolver:
         # exact tail average 10 minus nu times the divergence of the weights
         assert sol.value == pytest.approx(10.0 - 0.1 * 0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("solver", [solve_dual_1d, bisect_dual])
+    def test_kl_root_at_saturation_kink(self, solver):
+        # the root sits just below the point where the larger value's weight
+        # reaches the cap, and beyond it the curvature is about 1e-12, so an
+        # unguarded Newton step from there jumps far off the root
+        sol = solver([4.0, -2.0], SmoothingSpec("kl", 0.2), 0.5)
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
+        assert abs(sol.value - (4.0 - 0.2 * math.log(2.0))) <= 1e-12
+
     def test_errors(self):
         with pytest.raises(ValueError, match="finite"):
             solve_dual_1d([1.0, float("inf")], SmoothingSpec("euclidean", 1.0), 0.5)
+
+
+def edge_instances(rng, count):
+    """Samples that stress the dual solver's resolution and its bracket."""
+    families = ("continuous", "ties", "offset", "huge", "constant")
+    for k in range(count):
+        family = families[k % len(families)]
+        n = int(rng.choice([1, 2, 3, 10, 200, 5000]))
+        p = float(rng.choice([0.0, 0.5, 0.9, 0.999, 0.999999]))
+        z = rng.normal(0.0, 1.0, n)
+        scale = 1e12 if family == "huge" else 1.0
+        u = {"continuous": z, "ties": np.round(z), "offset": 1e8 + z,
+             "huge": z * scale, "constant": np.full(n, 3.0)}[family]
+        nu = scale * float(10 ** rng.uniform(-8, 8))
+        yield family, u, p, nu
+
+
+class TestSolverEdgeBattery:
+    @pytest.mark.parametrize("kind", ["euclidean", "kl"])
+    def test_feasible_and_sandwiched(self, kind):
+        eps = np.finfo(float).eps
+        failures = []
+        for family, u, p, nu in edge_instances(np.random.default_rng(27), 1500):
+            spec = SmoothingSpec(kind, nu)
+            sol = solve_dual_1d(u, spec, p)
+            exact = superquantile_integral(u, p)
+            dmax = divergence_max(spec, u.size, p)
+            slack = 1e-12 * max(1.0, abs(exact)) + 4.0 * eps * nu * max(1.0, dmax)
+            ok = (sol.weights.min() >= 0.0 and sol.weights.max() <= tail_cap(u.size, p)
+                  and abs(sol.weights.sum() - 1.0) <= 1e-7
+                  and exact - nu * dmax - slack <= sol.value <= exact + slack)
+            if not ok:
+                failures.append((family, u.size, p, nu, float(sol.weights.sum()) - 1.0))
+        assert not failures, f"{len(failures)} failures, first: {failures[:3]}"
 
 
 class TestApproximationQuality:
