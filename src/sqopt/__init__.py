@@ -34,7 +34,7 @@ from .models import (
     pointwise_loss_map,
     predict,
 )
-from .optim import OptimConfig, OptimResult, check_oracle, minimize
+from .optim import OptimResult, check_oracle, minimize
 from .oracles import (
     LossMap,
     SubdifferentialDescription,

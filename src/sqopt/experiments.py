@@ -8,14 +8,14 @@ writes the artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import superquantile
 from .data import SplitSpec, SyntheticSpec, downsample_majority, generate_quadratic, split_indices
 from .models import Dataset, GroupStructure, ModelSpec, group_metrics, pointwise_loss_map, grouped_loss_map, predict
-from .optim import OptimConfig, minimize
+from .optim import CONVERGED, minimize
 from .oracles import erm_objective, smoothed_objective
 from .smoothing import SmoothingSpec, divergence_max, smoothed_superquantile
 
@@ -37,6 +37,8 @@ CREDIT_P_GRID = (0.8, 0.85, 0.9, 0.95, 0.99)
 CREDIT_FOLDS = 5
 CREDIT_SEEDS = 5
 CREDIT_DOWNSAMPLE_RATIO = 0.10
+FEDERATED_CONFORMITY_LEVEL = 0.2
+NU_GRID_POINTS = 13
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class FitSettings:
     reg: float = 0.0
     train_fraction: float = 0.8
     seed: int = 0
-    max_iter: int = 500
 
     def model(self) -> ModelSpec:
         return ModelSpec(kind=self.model_kind, degree=self.degree, loss=self.loss)
@@ -61,17 +62,10 @@ class FitSettings:
         return SmoothingSpec(self.smoothing, self.nu)
 
     def config_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "model_kind": self.model_kind,
-            "degree": self.degree,
-            "p": self.p,
-            "nu": self.nu,
-            "smoothing": self.smoothing,
-            "reg": self.reg,
-            "train_fraction": self.train_fraction,
-            "max_iter": self.max_iter,
-        }
+        """Every setting but the seed, which the report records on its own."""
+        config = asdict(self)
+        del config["seed"]
+        return config
 
 
 def regression_metrics(targets: np.ndarray, predictions: np.ndarray) -> dict:
@@ -128,10 +122,9 @@ def fit_models(dataset: Dataset, settings: FitSettings,
 
     loss_map = pointwise_loss_map(train, model)
     w0 = np.zeros(loss_map.dim)
-    cfg = OptimConfig(max_iter=settings.max_iter)
-    erm_result = minimize(erm_objective(loss_map, settings.reg), w0, cfg)
+    erm_result = minimize(erm_objective(loss_map, settings.reg), w0)
     sq_result = minimize(
-        smoothed_objective(loss_map, settings.p, settings.smoothing_spec(), settings.reg), w0, cfg)
+        smoothed_objective(loss_map, settings.p, settings.smoothing_spec(), settings.reg), w0)
 
     report = {
         "experiment": "fit",
@@ -204,30 +197,27 @@ def run_toyreg(seed: int = 0) -> tuple[dict, list[dict]]:
     return report, predictions
 
 
-def _fit_objective(oracle, dim: int, max_iter: int = 500):
-    return minimize(oracle, np.zeros(dim), OptimConfig(max_iter=max_iter))
-
-
-def run_federated(seed: int = 0, conformity_level: float = 0.2) -> tuple[dict, list[dict]]:
+def run_federated(seed: int = 0) -> tuple[dict, list[dict]]:
     """Compare pooled mean loss, pooled tail risk, and per-device tail risk.
 
     Five devices, four sharing a distribution and one off-trend.  The
-    device-level model caps each device's dual weight at
-    ``1/(m * conformity_level)``, protecting every mixture whose conformity
-    stays above the level.
+    device-level model has tail level ``1 - FEDERATED_CONFORMITY_LEVEL`` and
+    so caps each device's dual weight at ``1/(m * FEDERATED_CONFORMITY_LEVEL)``
+    (1 for the five devices at the level 0.2), protecting every mixture whose
+    conformity stays above the level.
     """
     dataset, groups = generate_quadratic(_toy_spec(seed))
     model = ModelSpec(kind="polynomial", degree=2, loss="squared")
     point_map = pointwise_loss_map(dataset, model)
     device_map = grouped_loss_map(dataset, model, groups)
-    p_grouped = 1.0 - conformity_level
+    p_grouped = 1.0 - FEDERATED_CONFORMITY_LEVEL
+    w0 = np.zeros(point_map.dim)
 
     fits = {
-        "erm": _fit_objective(erm_objective(point_map), point_map.dim),
-        "superquantile": _fit_objective(
-            smoothed_objective(point_map, 0.9, SmoothingSpec("euclidean", 0.1)), point_map.dim),
-        "grouped_superquantile": _fit_objective(
-            smoothed_objective(device_map, p_grouped, SmoothingSpec("euclidean", 0.1)), device_map.dim),
+        "erm": minimize(erm_objective(point_map), w0),
+        "superquantile": minimize(smoothed_objective(point_map, 0.9, SmoothingSpec("euclidean", 0.1)), w0),
+        "grouped_superquantile": minimize(
+            smoothed_objective(device_map, p_grouped, SmoothingSpec("euclidean", 0.1)), w0),
     }
 
     subgroup = GroupStructure(np.where(groups.assignment == 4, 1, 0))
@@ -235,7 +225,7 @@ def run_federated(seed: int = 0, conformity_level: float = 0.2) -> tuple[dict, l
         "experiment": "federated",
         "seed": seed,
         "config": {"p_pooled": 0.9, "p_grouped": p_grouped, "nu": 0.1,
-                   "smoothing": "euclidean", "conformity_level": conformity_level},
+                   "smoothing": "euclidean", "conformity_level": FEDERATED_CONFORMITY_LEVEL},
         "models": {},
     }
     predictions: list[dict] = []
@@ -306,21 +296,15 @@ def synthetic_credit(n: int = 900, seed: int = 7) -> Dataset:
     return Dataset(features[perm], targets[perm])
 
 
-def _accuracy(dataset: Dataset, model: ModelSpec, w: np.ndarray) -> float:
-    margins = predict(dataset, model, w)
-    return float((np.where(margins > 0, 1.0, -1.0) == dataset.targets).mean())
-
-
 def _cv_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(perm[j::k]) for j in range(k)]
 
 
-def run_credit(dataset: Dataset, seed: int = 0,
-               n_seeds: int = CREDIT_SEEDS) -> tuple[dict, list[dict]]:
+def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
     """Distribution-shift classification protocol.
 
-    For each of ``n_seeds`` splits: hold out 20% for testing, downsample the
+    For each of ``CREDIT_SEEDS`` splits: hold out 20% for testing, downsample the
     training majority class to 10% of the minority, pick the tail level by
     5-fold cross-validated accuracy on the shifted training set over
     ``CREDIT_P_GRID``, then compare the tuned tail-risk model against the
@@ -328,9 +312,10 @@ def run_credit(dataset: Dataset, seed: int = 0,
     """
     model = ModelSpec(kind="linear", loss="logistic")
     nu, reg = 0.1, 1.0
+    w0 = np.zeros(dataset.features.shape[1])
     per_seed = []
     predictions: list[dict] = []
-    for k in range(n_seeds):
+    for k in range(CREDIT_SEEDS):
         split_seed = seed + k
         train_idx, test_idx = split_indices(dataset.n_rows, SplitSpec(0.8, split_seed))
         train = dataset.subset(train_idx)
@@ -339,6 +324,7 @@ def run_credit(dataset: Dataset, seed: int = 0,
 
         folds = _cv_folds(shifted.n_rows, CREDIT_FOLDS, split_seed)
         cv_table = {}
+        cv_not_converged = 0
         for p in CREDIT_P_GRID:
             scores = []
             for j in range(CREDIT_FOLDS):
@@ -348,15 +334,16 @@ def run_credit(dataset: Dataset, seed: int = 0,
                 fold_val = shifted.subset(held)
                 oracle = smoothed_objective(pointwise_loss_map(fold_train, model), p,
                                             SmoothingSpec("euclidean", nu), reg)
-                result = _fit_objective(oracle, fold_train.features.shape[1])
-                scores.append(_accuracy(fold_val, model, result.w_star))
+                result = minimize(oracle, w0)
+                cv_not_converged += result.status != CONVERGED
+                margins = predict(fold_val, model, result.w_star)
+                scores.append(classification_metrics(fold_val.targets, margins)["accuracy"])
             cv_table[p] = float(np.mean(scores))
         best_p = max(CREDIT_P_GRID, key=lambda p: (cv_table[p], -p))
 
         final_map = pointwise_loss_map(shifted, model)
-        sq_result = _fit_objective(
-            smoothed_objective(final_map, best_p, SmoothingSpec("euclidean", nu), reg), final_map.dim)
-        erm_result = _fit_objective(erm_objective(final_map, reg), final_map.dim)
+        sq_result = minimize(smoothed_objective(final_map, best_p, SmoothingSpec("euclidean", nu), reg), w0)
+        erm_result = minimize(erm_objective(final_map, reg), w0)
 
         sq_margins = predict(test, model, sq_result.w_star)
         erm_margins = predict(test, model, erm_result.w_star)
@@ -366,6 +353,11 @@ def run_credit(dataset: Dataset, seed: int = 0,
             "cv_accuracy": {str(p): cv_table[p] for p in CREDIT_P_GRID},
             "erm": classification_metrics(test.targets, erm_margins),
             "superquantile": classification_metrics(test.targets, sq_margins),
+            "optim": {
+                "erm": {"status": erm_result.status, "iterations": erm_result.iterations},
+                "superquantile": {"status": sq_result.status, "iterations": sq_result.iterations},
+                "cv_not_converged": cv_not_converged,
+            },
         }
         per_seed.append(seed_entry)
         for i in range(test.n_rows):
@@ -385,7 +377,7 @@ def run_credit(dataset: Dataset, seed: int = 0,
         "experiment": "credit",
         "seed": seed,
         "config": {"p_grid": list(CREDIT_P_GRID), "folds": CREDIT_FOLDS, "nu": nu, "reg": reg,
-                   "downsample_ratio": CREDIT_DOWNSAMPLE_RATIO, "n_seeds": n_seeds},
+                   "downsample_ratio": CREDIT_DOWNSAMPLE_RATIO, "n_seeds": CREDIT_SEEDS},
         "per_seed": per_seed,
         "summary": {
             "erm": {"accuracy": _stats("erm", "accuracy"), "precision": _stats("erm", "precision")},
@@ -446,10 +438,10 @@ def run_convergence(seed: int = 0, p: float = 0.9,
     return report, rows
 
 
-def default_nu_grid(values: np.ndarray, points: int = 13) -> np.ndarray:
-    """Log-spaced smoothing strengths bracketing the data scale."""
+def default_nu_grid(values: np.ndarray) -> np.ndarray:
+    """``NU_GRID_POINTS`` log-spaced smoothing strengths bracketing the data scale."""
     scale = float(values.max() - values.min()) or 1.0
-    return scale * np.logspace(-3.0, 3.0, points)
+    return scale * np.logspace(-3.0, 3.0, NU_GRID_POINTS)
 
 
 def run_sweep(values, p: float, kind: str = "euclidean",

@@ -30,6 +30,10 @@ __all__ = [
     "finite_difference_grad",
 ]
 
+# relative finite-difference step, of the order of the cube root of machine
+# epsilon that balances truncation and rounding error for central differences
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class LossMap:
@@ -81,7 +85,9 @@ class SubdifferentialDescription:
 
 
 def _finite_losses(loss_map: LossMap, w: np.ndarray) -> np.ndarray | None:
-    u = np.asarray(loss_map.eval(w), dtype=float)
+    # a trial step can overflow the losses; the None result is the report
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.asarray(loss_map.eval(w), dtype=float)
     return u if np.all(np.isfinite(u)) else None
 
 
@@ -184,13 +190,12 @@ def erm_objective(loss_map: LossMap, reg: float = 0.0) -> Callable[[np.ndarray],
     return oracle
 
 
-def finite_difference_grad(value_fn: Callable[[np.ndarray], float], w,
-                           h: float = 1e-6) -> np.ndarray:
-    """Central finite differences with per-coordinate relative steps."""
+def finite_difference_grad(value_fn: Callable[[np.ndarray], float], w) -> np.ndarray:
+    """Central finite differences with relative steps ``FD_STEP * (1 + |w_j|)``."""
     w = np.asarray(w, dtype=float)
     grad = np.zeros_like(w)
     for j in range(w.size):
-        step = h * (1.0 + abs(w[j]))
+        step = FD_STEP * (1.0 + abs(w[j]))
         w_plus = w.copy()
         w_plus[j] += step
         w_minus = w.copy()

@@ -181,14 +181,13 @@ def _slope_eps(p: float) -> float:
 
 
 def _bisect(u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float,
-            lo: float, hi: float, tol: float = _BISECT_TOL,
-            max_iter: int = _BISECT_MAX_ITER) -> float:
+            lo: float, hi: float) -> float:
     """Bisection on the dual derivative, assuming slope(lo) <= 0 <= slope(hi)."""
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         s = _slope(mid, u, kind, nu, n, p, cap)
-        if abs(s) <= tol or hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
+        if abs(s) <= _BISECT_TOL or hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
             break
         if s < 0.0:
             lo = mid
@@ -284,8 +283,7 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
     return _solution_at(v, shift, eta, weights, curvature, kind, nu, n, p, cap)
 
 
-def bisect_dual(values, spec: SmoothingSpec, p: float, tol: float = _BISECT_TOL,
-                max_iter: int = _BISECT_MAX_ITER) -> DualSolution:
+def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
     """Solve the scalar dual by bisection only (reference path, no Newton steps)."""
     u = as_sample(values)
     p = check_tail(p)
@@ -309,7 +307,7 @@ def bisect_dual(values, spec: SmoothingSpec, p: float, tol: float = _BISECT_TOL,
             span *= 2.0
             if _slope(hi, u, kind, nu, n, p, cap) >= -eps:
                 break
-    eta = _bisect(u, kind, nu, n, p, cap, lo, hi, tol=tol, max_iter=max_iter)
+    eta = _bisect(u, kind, nu, n, p, cap, lo, hi)
     weights, curvature = _weights_and_curvature(u - eta, kind, nu, n, p, cap)
     return _solution_at(u, 0.0, eta, weights, curvature, kind, nu, n, p, cap)
 

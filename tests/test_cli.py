@@ -173,6 +173,12 @@ class TestExperiment:
         assert run(["experiment", "credit", "--synthetic", "--seed", "0", "--out", str(out)]) == 0
         report = read_json(out / "report.json")
         assert len(report["per_seed"]) == 5
+        for entry in report["per_seed"]:
+            fits = entry["optim"]
+            for model in ("erm", "superquantile"):
+                assert fits[model]["status"] == "converged"
+                assert fits[model]["iterations"] > 0
+            assert fits["cv_not_converged"] == 0
 
     def test_abalone_style_run(self, tmp_path):
         rng = np.random.default_rng(5)

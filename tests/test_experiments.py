@@ -57,7 +57,7 @@ class TestFederated:
         # weights is 1/(m (1-p)) = 1, the whole simplex
         m, c = 5, 0.2
         assert tail_cap(m, 1.0 - c) == pytest.approx(1.0)
-        report, _ = run_federated(seed=0, conformity_level=c)
+        report, _ = run_federated(seed=0)
         assert report["config"]["p_grouped"] == pytest.approx(0.8)
 
     def test_three_models_and_five_devices(self):

@@ -1,5 +1,7 @@
 """Composition oracles: exact subdifferentials and smoothed gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,7 +260,8 @@ class TestNonFiniteLosses:
             oracle = smoothed_objective(lm, 0.9, SmoothingSpec("euclidean", 0.1))
         else:
             oracle = erm_objective(lm)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             result = minimize(oracle, np.zeros(3))
         assert isinstance(result, OptimResult)
         assert result.status == LINE_SEARCH_FAILURE
