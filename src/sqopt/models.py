@@ -148,18 +148,36 @@ def _loss_dz(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
 
 
 def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
-    """One loss component per observation."""
+    """One loss component per observation.
+
+    The map keeps the predictions ``phi @ w`` of the latest point it saw,
+    keyed on the exact bytes of ``w``, so an ``adjoint_apply`` at the point
+    of the preceding ``eval`` makes one n x d pass instead of two.  A
+    different point, or the same array changed in place, is recomputed.
+    """
     phi = design_matrix(dataset, model)
     y = dataset.targets
     if model.loss == "logistic" and not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("logistic loss expects targets in {-1, +1}")
     loss = model.loss
+    latest = None  # (w.tobytes(), phi @ w), replaced as one tuple
+
+    def predictions(w) -> np.ndarray:
+        nonlocal latest
+        w = np.asarray(w, dtype=float)
+        key = w.tobytes()
+        cached = latest  # read once: key and predictions of the same point
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        z = phi @ w
+        latest = (key, z)
+        return z
 
     def eval_losses(w: np.ndarray) -> np.ndarray:
-        return _loss_values(phi @ np.asarray(w, dtype=float), y, loss)
+        return _loss_values(predictions(w), y, loss)
 
     def adjoint(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-        z = phi @ np.asarray(w, dtype=float)
+        z = predictions(w)
         return phi.T @ (np.asarray(q, dtype=float) * _loss_dz(z, y, loss))
 
     return LossMap(dim=phi.shape[1], n=phi.shape[0], eval=eval_losses, adjoint_apply=adjoint)

@@ -40,9 +40,10 @@ class LossMap:
     """Differentiable map from parameters to ``n`` component losses.
 
     ``eval(w)`` returns the loss vector; ``adjoint_apply(w, q)`` returns the
-    q-weighted sum of the component gradients.  Implementations must be pure
-    and linear in ``q`` so they can be shared across threads; no Jacobian is
-    ever materialized.
+    q-weighted sum of the component gradients, linear in ``q``.  Results
+    depend only on the arguments; an implementation may reuse work from its
+    latest point (the oracles call ``adjoint_apply`` at the point of the
+    preceding ``eval``).  No Jacobian is ever materialized.
     """
 
     dim: int

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,16 @@ class TestEval:
         with pytest.raises(SystemExit) as err:
             run(["eval", "--values", "1,2", "--p", "1"])
         assert err.value.code == 2
+
+
+class TestModuleEntry:
+    def test_python_dash_m_from_checkout(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "sqopt", "eval", "--values", "1,2,3", "--p", "0.5"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
 
 
 class TestFit:

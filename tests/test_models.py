@@ -1,6 +1,8 @@
 """Datasets, prediction functions, losses, groups."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sqopt import (
     pointwise_loss_map,
     predict,
 )
+from sqopt.models import _loss_dz, _loss_values
 
 from reference import finite_difference
 
@@ -126,6 +129,99 @@ class TestPointwiseLossMap:
             grad = lm.adjoint_apply(w, basis)
             fd = finite_difference(lambda v: float(lm.eval(v)[i]), w)
             assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(grad).max())
+
+
+def memo_instance(loss, seed=45):
+    rng = np.random.default_rng(seed)
+    n = 40
+    x = rng.normal(0, 1, (n, 3))
+    y = rng.normal(0, 1, n) if loss == "squared" else np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    ds = Dataset(x, y)
+    model = ModelSpec(kind="linear", loss=loss)
+    return ds, model, design_matrix(ds, model), y, rng
+
+
+class TestPredictionMemo:
+    """The loss map reuses the predictions of its latest point, never stale ones."""
+
+    @staticmethod
+    def direct(phi, y, loss, w, q):
+        z = phi @ w
+        return _loss_values(z, y, loss), phi.T @ (q * _loss_dz(z, y, loss))
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_adjoint_at_other_point_than_eval(self, loss):
+        ds, model, phi, y, rng = memo_instance(loss)
+        lm = pointwise_loss_map(ds, model)
+        w1, w2, q = rng.normal(0, 1, 3), rng.normal(0, 1, 3), rng.uniform(0, 1, ds.n_rows)
+        assert np.array_equal(lm.eval(w1), self.direct(phi, y, loss, w1, q)[0])
+        assert np.array_equal(lm.adjoint_apply(w2, q), self.direct(phi, y, loss, w2, q)[1])
+        assert np.array_equal(lm.eval(w2), self.direct(phi, y, loss, w2, q)[0])
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_adjoint_without_prior_eval(self, loss):
+        ds, model, phi, y, rng = memo_instance(loss)
+        w, q = rng.normal(0, 1, 3), rng.uniform(0, 1, ds.n_rows)
+        grad = pointwise_loss_map(ds, model).adjoint_apply(w, q)
+        assert np.array_equal(grad, self.direct(phi, y, loss, w, q)[1])
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_in_place_change_is_recomputed(self, loss):
+        ds, model, phi, y, rng = memo_instance(loss)
+        lm = pointwise_loss_map(ds, model)
+        w, q = rng.normal(0, 1, 3), rng.uniform(0, 1, ds.n_rows)
+        lm.eval(w)
+        w[:] = rng.normal(0, 1, 3)
+        assert np.array_equal(lm.adjoint_apply(w, q), self.direct(phi, y, loss, w, q)[1])
+
+    def test_eval_returns_a_fresh_array(self):
+        ds, model, phi, y, rng = memo_instance("squared")
+        lm = pointwise_loss_map(ds, model)
+        w = rng.normal(0, 1, 3)
+        first = lm.eval(w)
+        first[:] = np.nan
+        assert np.array_equal(lm.eval(w), self.direct(phi, y, "squared", w, 0.0)[0])
+
+    def test_shared_across_threads(self):
+        ds, model, phi, y, rng = memo_instance("logistic")
+        lm = pointwise_loss_map(ds, model)
+        points = [rng.normal(0, 1, 3) for _ in range(4)]
+        q = rng.uniform(0, 1, ds.n_rows)
+        expected = [self.direct(phi, y, "logistic", w, q) for w in points]
+        mismatches = []
+
+        def work(k):
+            for _ in range(300):
+                if not (np.array_equal(lm.eval(points[k]), expected[k][0])
+                        and np.array_equal(lm.adjoint_apply(points[k], q), expected[k][1])):
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_grouped_map_after_in_place_change(self, loss):
+        ds, model, phi, y, rng = memo_instance(loss)
+        assignment = np.arange(ds.n_rows) % 4
+        counts = np.bincount(assignment).astype(float)
+        gm = grouped_loss_map(ds, model, GroupStructure(assignment))
+        w, q = rng.normal(0, 1, 3), rng.uniform(0, 1, 4)
+        gm.eval(w)
+        w[:] = rng.normal(0, 1, 3)
+        row_weights = (q / counts)[assignment]
+        losses, grad = self.direct(phi, y, loss, w, row_weights)
+        assert np.array_equal(gm.adjoint_apply(w, q), grad)
+        assert np.array_equal(gm.eval(w), np.bincount(assignment, weights=losses) / counts)
 
 
 class TestGroupStructure:

@@ -5,12 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+import sqopt.models
 from sqopt import (
     Dataset,
+    GroupStructure,
     LossMap,
     ModelSpec,
     SmoothingSpec,
     erm_value_grad,
+    grouped_loss_map,
     pointwise_loss_map,
     smoothed_value_grad,
     subdifferential,
@@ -237,6 +240,46 @@ class TestErmOracle:
             erm_value_grad(lm, w, -1.0)
         with pytest.raises(ValueError, match="reg"):
             smoothed_objective(lm, 0.5, SmoothingSpec("euclidean", 1.0), reg=-1.0)(w)
+
+
+class CountedMatrix(np.ndarray):
+    """Design matrix that counts its n x d products (its transpose is one too)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountedMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+class TestPassesPerCall:
+    """One forward and one adjoint n x d product per oracle call at a fresh point."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        original = sqopt.models.design_matrix
+        monkeypatch.setattr(sqopt.models, "design_matrix",
+                            lambda dataset, model: original(dataset, model).view(CountedMatrix))
+        return CountedMatrix
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("oracle", ["smoothed", "erm"])
+    def test_two_products_per_call(self, counted, grouped, oracle):
+        rng = np.random.default_rng(42)
+        n = 60
+        ds = Dataset(rng.normal(0, 1, (n, 4)), rng.normal(0, 1, n))
+        if grouped:
+            lm = grouped_loss_map(ds, ModelSpec(), GroupStructure(np.arange(n) % 5))
+        else:
+            lm = pointwise_loss_map(ds, ModelSpec())
+        for _ in range(3):
+            w = rng.normal(0, 1, 4)
+            counted.products = 0
+            if oracle == "smoothed":
+                smoothed_value_grad(lm, w, 0.8, SmoothingSpec("euclidean", 0.1))
+            else:
+                erm_value_grad(lm, w, 1.0)
+            assert counted.products == 2
 
 
 class TestNonFiniteLosses:
