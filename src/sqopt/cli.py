@@ -28,7 +28,6 @@ from .core import quantile, superquantile_dual, superquantile_integral, superqua
 from .data import load_csv
 from .experiments import (
     FitSettings,
-    default_nu_grid,
     fit_models,
     run_abalone,
     run_convergence,
@@ -43,6 +42,8 @@ from .models import ModelSpec, pointwise_loss_map
 from .smoothing import SmoothingSpec, smoothed_superquantile
 
 EXPERIMENTS = ("toyreg", "federated", "fairness", "abalone", "credit", "convergence")
+# the studies that read a dataset, and the file each looks for in SQOPT_DATA_DIR
+DATASET_FILES = {"abalone": "abalone.csv", "credit": "australian.csv"}
 
 __all__ = ["main", "entry"]
 
@@ -63,9 +64,13 @@ def _parse_model(text: str) -> tuple[str, int]:
     raise argparse.ArgumentTypeError(f"model must be 'linear' or 'polyK', got {text!r}")
 
 
+def _float_list(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+
+
 def _read_values(args) -> np.ndarray:
     if args.values is not None:
-        return np.array([float(v) for v in args.values.split(",") if v.strip() != ""])
+        return _float_list(args.values)
     cells = []
     with open(args.input, newline="", encoding="utf-8") as handle:
         for row in csv.reader(handle):
@@ -141,26 +146,26 @@ def cmd_fit(args) -> int:
 def cmd_experiment(args) -> int:
     started = time.perf_counter()
     name = args.name
-    if name in ("abalone", "credit"):
-        data_path = args.data
-        if data_path is None:
-            # fall back to the default data directory, then (credit only,
-            # when asked) to the synthetic stand-in
+    if args.synthetic and name != "credit":
+        print("error: --synthetic is for experiment 'credit' only", file=sys.stderr)
+        return 2
+    if args.data is not None and name not in DATASET_FILES:
+        print(f"error: experiment {name!r} reads no dataset, --data does not apply", file=sys.stderr)
+        return 2
+    if name in DATASET_FILES:
+        if args.synthetic:
+            dataset = synthetic_credit(seed=args.seed)
+        else:
+            data_path = args.data
             data_dir = os.environ.get("SQOPT_DATA_DIR")
-            candidate = None
-            if data_dir:
-                filename = "abalone.csv" if name == "abalone" else "australian.csv"
-                candidate = Path(data_dir) / filename
-            if candidate is not None and candidate.exists():
-                data_path = str(candidate)
-        if data_path is None:
-            if name == "credit" and args.synthetic:
-                dataset = synthetic_credit(seed=args.seed)
-            else:
+            if data_path is None and data_dir:
+                candidate = Path(data_dir) / DATASET_FILES[name]
+                if candidate.exists():
+                    data_path = str(candidate)
+            if data_path is None:
                 print(f"error: experiment {name!r} needs --data (or SQOPT_DATA_DIR) pointing "
                       "to a local CSV (see scripts/fetch_datasets.py)", file=sys.stderr)
                 return 2
-        else:
             task = "classification" if name == "credit" else "regression"
             dataset = load_csv(data_path, task=task)
         if name == "abalone":
@@ -194,13 +199,16 @@ def cmd_experiment(args) -> int:
 
 def cmd_sweep_nu(args) -> int:
     started = time.perf_counter()
-    if args.values is not None or args.input is not None:
-        values = _read_values(args)
-    else:
-        if args.data is None:
+    if args.data is None:
+        if args.values is None and args.input is None:
             print("error: sweep-nu needs --values/--input or --data with --weights/--fit-first",
                   file=sys.stderr)
             return 2
+        if args.weights is not None or args.fit_first:
+            print("error: --weights and --fit-first apply only with --data", file=sys.stderr)
+            return 2
+        values = _read_values(args)
+    else:
         task = "classification" if args.loss == "logistic" else "regression"
         dataset = load_csv(args.data, task=task)
         kind, degree = args.model
@@ -219,12 +227,7 @@ def cmd_sweep_nu(args) -> int:
             return 2
         values = loss_map.eval(w)
 
-    grid = None
-    if args.grid is not None:
-        grid = np.array([float(v) for v in args.grid.split(",") if v.strip() != ""])
-    else:
-        grid = default_nu_grid(np.asarray(values))
-    report, rows, weight_rows = run_sweep(values, args.p, kind=args.smoothing, grid=grid)
+    report, rows, weight_rows = run_sweep(values, args.p, kind=args.smoothing, grid=args.grid)
     out = Path(args.out)
     _write_json(out / "report.json", report)
     _write_csv(out / "sweep.csv", rows)
@@ -265,25 +268,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", required=True)
-    p_exp.add_argument("--data", default=None, help="dataset CSV for abalone/credit")
-    p_exp.add_argument("--synthetic", action="store_true",
-                       help="credit only: use the bundled synthetic stand-in dataset")
+    exp_source = p_exp.add_mutually_exclusive_group()
+    exp_source.add_argument("--data", default=None, help="dataset CSV for abalone/credit")
+    exp_source.add_argument("--synthetic", action="store_true",
+                            help="credit only: use the bundled synthetic stand-in dataset")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_sweep = sub.add_parser("sweep-nu", help="smoothed value across smoothing strengths")
-    p_sweep.add_argument("--values", default=None, help="comma-separated loss values")
-    p_sweep.add_argument("--input", default=None, help="CSV file of loss values")
-    p_sweep.add_argument("--data", default=None, help="dataset CSV (model mode)")
+    sweep_source = p_sweep.add_mutually_exclusive_group()
+    sweep_source.add_argument("--values", default=None, help="comma-separated loss values")
+    sweep_source.add_argument("--input", default=None, help="CSV file of loss values")
+    sweep_source.add_argument("--data", default=None, help="dataset CSV (model mode)")
     p_sweep.add_argument("--loss", choices=("squared", "logistic"), default="squared")
     p_sweep.add_argument("--model", type=_parse_model, default=("linear", 1))
-    p_sweep.add_argument("--w", "--weights", dest="weights", default=None,
-                         help="file of fixed model weights")
-    p_sweep.add_argument("--fit-first", action="store_true",
-                         help="fit the tail-risk model first, sweep at its solution")
+    sweep_point = p_sweep.add_mutually_exclusive_group()
+    sweep_point.add_argument("--w", "--weights", dest="weights", default=None,
+                             help="file of fixed model weights")
+    sweep_point.add_argument("--fit-first", action="store_true",
+                             help="fit the tail-risk model first, sweep at its solution")
     p_sweep.add_argument("--p", type=_tail_level, required=True)
     p_sweep.add_argument("--nu", type=float, default=0.1, help="strength used by --fit-first")
     p_sweep.add_argument("--smoothing", choices=("euclidean", "kl"), default="euclidean")
-    p_sweep.add_argument("--grid", default=None, help="comma-separated nu grid")
+    p_sweep.add_argument("--grid", type=_float_list, default=None,
+                         help="comma-separated nu grid (default: log-spaced around the data scale)")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep_nu)

@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 
+def _row_index(indices) -> np.ndarray:
+    # a boolean mask stays a mask; anything else (an empty list too) is positions
+    idx = np.asarray(indices)
+    return idx if idx.dtype == bool else np.asarray(idx, dtype=int)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus targets (real for regression, -1/+1 for classification)."""
@@ -54,7 +60,8 @@ class Dataset:
         return self.features.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """Rows at integer positions or where a boolean mask is true."""
+        idx = _row_index(indices)
         return Dataset(self.features[idx], self.targets[idx])
 
 
@@ -108,8 +115,8 @@ class GroupStructure:
         return self.alpha.shape[0]
 
     def subset(self, indices) -> "GroupStructure":
-        idx = np.asarray(indices, dtype=int)
-        return GroupStructure(self.assignment[idx], self.alpha)
+        """Rows at integer positions or where a boolean mask is true."""
+        return GroupStructure(self.assignment[_row_index(indices)], self.alpha)
 
 
 def design_matrix(dataset: Dataset, model: ModelSpec) -> np.ndarray:

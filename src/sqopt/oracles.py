@@ -97,11 +97,30 @@ def _non_finite(w: np.ndarray) -> tuple[float, np.ndarray]:
     return math.inf, np.full(w.shape, np.nan)
 
 
-def _ridge(w: np.ndarray, n: int, reg: float) -> tuple[float, np.ndarray]:
-    """Ridge term ``reg/(2n) ||w||^2`` and its gradient."""
+def _objective(loss_map: LossMap, reg: float,
+               value_weights: Callable[[np.ndarray], tuple[float, np.ndarray]]
+               ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """Closure ``w -> (value, grad)`` of a risk of the losses plus ``reg/(2n) ||w||^2``.
+
+    ``value_weights`` maps the finite loss vector to the risk and to the
+    weights whose adjoint image is the risk's gradient.  Exactly one
+    ``eval`` and one ``adjoint_apply`` per call; non-finite losses give the
+    value ``inf`` and a NaN gradient, without an ``adjoint_apply``.
+    """
     if not reg >= 0.0:
         raise ValueError(f"reg must be nonnegative, got {reg}")
-    return 0.5 * reg / n * float(w @ w), (reg / n) * w
+    n = loss_map.n
+
+    def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
+        w = np.asarray(w, dtype=float)
+        u = _finite_losses(loss_map, w)
+        if u is None:
+            return _non_finite(w)
+        value, weights = value_weights(u)
+        grad = np.asarray(loss_map.adjoint_apply(w, weights), dtype=float)
+        return value + 0.5 * reg / n * float(w @ w), grad + (reg / n) * w
+
+    return oracle
 
 
 def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescription:
@@ -145,13 +164,7 @@ def smoothed_value_grad(loss_map: LossMap, w, p: float,
     gradient is their adjoint image.  Non-finite losses give the value
     ``inf`` and a NaN gradient, without an ``adjoint_apply``.
     """
-    w = np.asarray(w, dtype=float)
-    u = _finite_losses(loss_map, w)
-    if u is None:
-        return _non_finite(w)
-    sol = solve_dual_1d(u, spec, p)
-    grad = np.asarray(loss_map.adjoint_apply(w, sol.weights), dtype=float)
-    return sol.value, grad
+    return smoothed_objective(loss_map, p, spec)(w)
 
 
 def erm_value_grad(loss_map: LossMap, w, reg: float = 0.0) -> tuple[float, np.ndarray]:
@@ -159,36 +172,23 @@ def erm_value_grad(loss_map: LossMap, w, reg: float = 0.0) -> tuple[float, np.nd
 
     Non-finite losses give the value ``inf`` and a NaN gradient.
     """
-    w = np.asarray(w, dtype=float)
-    ridge_value, ridge_grad = _ridge(w, loss_map.n, reg)
-    u = _finite_losses(loss_map, w)
-    if u is None:
-        return _non_finite(w)
-    n = u.size
-    grad = np.asarray(loss_map.adjoint_apply(w, np.full(n, 1.0 / n)), dtype=float)
-    return float(u.mean()) + ridge_value, grad + ridge_grad
+    return erm_objective(loss_map, reg)(w)
 
 
 def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
                        reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` for the ridge-regularized smoothed objective."""
 
-    def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
-        w = np.asarray(w, dtype=float)
-        value, grad = smoothed_value_grad(loss_map, w, p, spec)
-        ridge_value, ridge_grad = _ridge(w, loss_map.n, reg)
-        return value + ridge_value, grad + ridge_grad
+    def value_weights(u: np.ndarray) -> tuple[float, np.ndarray]:
+        sol = solve_dual_1d(u, spec, p)
+        return sol.value, sol.weights
 
-    return oracle
+    return _objective(loss_map, reg, value_weights)
 
 
 def erm_objective(loss_map: LossMap, reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` for the ridge-regularized mean loss."""
-
-    def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
-        return erm_value_grad(loss_map, w, reg)
-
-    return oracle
+    return _objective(loss_map, reg, lambda u: (float(u.mean()), np.full(u.size, 1.0 / u.size)))
 
 
 def finite_difference_grad(value_fn: Callable[[np.ndarray], float], w) -> np.ndarray:

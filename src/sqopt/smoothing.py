@@ -21,8 +21,8 @@ bisection-only reference.
 The module also hosts the equivalence toolkit between this smoothing and the
 classical smoothing of the positive part: ``smoothed_positive_part`` (one
 scalar term of the variational form), ``conv_smoothed_positive_part``
-(convolution of ``max(. , 0)`` with a mollifier density), and the two
-conversion maps between densities and divergences.
+(convolution of ``max(. , 0)`` with a mollifier density, in closed form), and
+the two conversion maps between densities and divergences.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit, ndtr, ndtri, xlogy
 
 from .core import as_sample, check_tail, quantile, tail_cap
@@ -53,7 +52,6 @@ __all__ = [
     "smoothed_positive_part",
     "DensitySpec",
     "conv_smoothed_positive_part",
-    "conv_smoothed_positive_part_quadrature",
     "divergence_from_density",
     "density_from_smoothing",
     "SmoothingDensity",
@@ -65,6 +63,8 @@ KL = "kl"
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 _NEWTON_MAX_ITER = 100
+# points of the reconstruction check in density_from_smoothing
+_DENSITY_CHECK_POINTS = 41
 
 
 @dataclass(frozen=True)
@@ -425,11 +425,6 @@ class DensitySpec:
     def mean(self) -> float:
         return 0.5 * (self.a + self.b) if self.kind == "uniform" else 0.0
 
-    @property
-    def scale(self) -> float:
-        """Width used for truncating quadrature tails."""
-        return self.b - self.a if self.kind == "uniform" else 1.0
-
 
 def conv_smoothed_positive_part(x, density: DensitySpec, nu: float):
     """Convolution of ``max(. , 0)`` with the rescaled density (closed forms).
@@ -450,25 +445,6 @@ def conv_smoothed_positive_part(x, density: DensitySpec, nu: float):
         ramp = (np.clip(z, a, b) - a) ** 2 / (2.0 * (b - a))
         out = nu * np.where(z >= b, z - density.mean, ramp)
     return out if x_arr.ndim else float(out)
-
-
-def conv_smoothed_positive_part_quadrature(x: float, density: DensitySpec, nu: float,
-                                           tol: float = 1e-10) -> float:
-    """Quadrature evaluation of the convolution smoothing (test oracle path)."""
-    if not nu > 0.0:
-        raise ValueError("nu must be positive")
-    hi = x
-    if density.kind == "uniform":
-        # integrate over the exact support so quad never sees the jumps
-        lo = density.a * nu
-        hi = min(x, density.b * nu)
-    else:
-        lo = -40.0 * nu * density.scale
-    if hi <= lo:
-        return 0.0
-    val, _ = quad(lambda s: (x - s) * density.pdf(s / nu) / nu, lo, hi,
-                  epsabs=tol, limit=200)
-    return float(val)
 
 
 def divergence_from_density(density: DensitySpec):
@@ -503,8 +479,9 @@ class SmoothingDensity:
     ``tail_value`` is the limit of the smoothed positive part at minus
     infinity; adding it to the convolution of ``max(. , 0)`` with this
     density reproduces the smoothing exactly.
-    ``max_reconstruction_error`` stores the verification residual computed by
-    quadrature on a grid straddling the support.
+    ``max_reconstruction_error`` stores the largest residual of that
+    reconstruction on a grid straddling the support, with the convolution
+    integral evaluated in closed form.
     """
 
     height: float
@@ -519,16 +496,17 @@ class SmoothingDensity:
         return out if s_arr.ndim else float(out)
 
 
-def density_from_smoothing(spec: SmoothingSpec, n: int, p: float,
-                           grid_size: int = 41) -> SmoothingDensity:
+def density_from_smoothing(spec: SmoothingSpec, n: int, p: float) -> SmoothingDensity:
     """Recover the mollifier density hidden in the euclidean smoothing.
 
     The euclidean smoothed positive part is piecewise quadratic, so its
     second derivative is a uniform density on the interval between the two
-    slope changes.  The returned object carries the quadrature verification
-    that convolving ``max(. , 0)`` with this density (plus the tail constant)
-    rebuilds the smoothing.  The KL kind has unbounded curvature support and
-    is rejected.
+    slope changes.  The returned object carries the check that convolving
+    ``max(. , 0)`` with this density (plus the tail constant) rebuilds the
+    smoothing: the convolution of the uniform density is integrated exactly
+    from the returned height, support and tail value, and compared with
+    :func:`smoothed_positive_part` on a grid.  The KL kind has unbounded
+    curvature support and is rejected.
     """
     if spec.kind != EUCLIDEAN:
         raise ValueError("density reconstruction is implemented for the 'euclidean' kind only")
@@ -541,15 +519,11 @@ def density_from_smoothing(spec: SmoothingSpec, n: int, p: float,
     tail_value = -nu * (1.0 - p) / (2.0 * n)
 
     width = max(hi - lo, nu)
-    etas = np.linspace(lo - width, hi + width, grid_size)
-    worst = 0.0
-    for eta in etas:
-        if eta <= lo:
-            integral = 0.0
-        else:
-            integral, _ = quad(lambda s: (eta - s) * height, lo, min(eta, hi), epsabs=1e-10)
-        rebuilt = tail_value + integral
-        exact = smoothed_positive_part(eta, spec, n, p)
-        worst = max(worst, abs(rebuilt - exact))
+    etas = np.linspace(lo - width, hi + width, _DENSITY_CHECK_POINTS)
+    # int_lo^min(eta, hi) (eta - s) * height ds, zero for eta <= lo
+    top = np.minimum(etas, hi)
+    integral = np.where(etas > lo, 0.5 * height * ((etas - lo) ** 2 - (etas - top) ** 2), 0.0)
+    rebuilt = tail_value + integral
+    worst = float(np.max(np.abs(rebuilt - smoothed_positive_part(etas, spec, n, p))))
     return SmoothingDensity(height=height, support=(lo, hi), tail_value=tail_value,
                             max_reconstruction_error=worst)

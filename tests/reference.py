@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (enumeration, sorting, dense grids,
-projections) and shares no code path with the package internals it checks.
+projections, adaptive quadrature) and shares no code path with the package
+internals it checks.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.integrate import quad
 
 
 def capped_simplex_vertices(n: int, cap: float):
@@ -98,3 +100,23 @@ def finite_difference(value_fn, w, h: float = 1e-6) -> np.ndarray:
 
 def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def conv_smoothed_positive_part_quadrature(x: float, density, nu: float,
+                                           tol: float = 1e-10) -> float:
+    """Convolution of ``max(. , 0)`` with the rescaled density, by adaptive quadrature."""
+    if not nu > 0.0:
+        raise ValueError("nu must be positive")
+    hi = x
+    if density.kind == "uniform":
+        # integrate over the exact support so quad never sees the jumps
+        lo = density.a * nu
+        hi = min(x, density.b * nu)
+    else:
+        # the logistic and gaussian tails are negligible beyond 40 units
+        lo = -40.0 * nu
+    if hi <= lo:
+        return 0.0
+    val, _ = quad(lambda s: (x - s) * density.pdf(s / nu) / nu, lo, hi,
+                  epsabs=tol, limit=200)
+    return float(val)

@@ -11,10 +11,19 @@ import numpy as np
 import pytest
 
 from sqopt.cli import main
+from sqopt.experiments import synthetic_credit
 
 
 def run(args):
     return main(args)
+
+
+def exit_code(args):
+    """Exit status of a run, whether argparse or the command rejects the arguments."""
+    try:
+        return run(args)
+    except SystemExit as err:
+        return err.code
 
 
 def read_json(path):
@@ -82,13 +91,25 @@ class TestEval:
 
 
 class TestModuleEntry:
-    def test_python_dash_m_from_checkout(self):
+    @staticmethod
+    def checkout_env():
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
+        return dict(os.environ, PYTHONPATH=str(src))
+
+    def test_python_dash_m_from_checkout(self):
         proc = subprocess.run([sys.executable, "-m", "sqopt", "eval", "--values", "1,2,3", "--p", "0.5"],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=self.checkout_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+    def test_import_loads_no_quadrature_or_optimizer(self):
+        # the library needs scipy.special only; integrate and optimize are test oracles
+        code = ("import sys, sqopt, sqopt.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=self.checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestFit:
@@ -208,6 +229,37 @@ class TestExperiment:
         report = read_json(out / "report.json")
         assert report["config"]["p"] == 0.98
 
+    def test_synthetic_ignores_data_dir(self, tmp_path, monkeypatch):
+        # a small australian.csv in the data directory must not replace the stand-in
+        rng = np.random.default_rng(6)
+        rows = ["a,b,label"] + [f"{float(a)!r},{float(b)!r},{int(t)}"
+                                for (a, b), t in zip(rng.normal(0, 1, (40, 2)), rng.integers(0, 2, 40))]
+        data_dir = tmp_path / "datadir"
+        data_dir.mkdir()
+        (data_dir / "australian.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        monkeypatch.setenv("SQOPT_DATA_DIR", str(data_dir))
+        out = tmp_path / "credit"
+        assert run(["experiment", "credit", "--synthetic", "--seed", "0", "--out", str(out)]) == 0
+        assert len(read_csv(out / "predictions.csv")) == synthetic_credit().n_rows
+
+    def test_synthetic_with_data_rejected(self, classification_csv, tmp_path):
+        assert exit_code(["experiment", "credit", "--synthetic", "--data", classification_csv,
+                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_synthetic_for_abalone_rejected(self, regression_csv, tmp_path, monkeypatch):
+        data_dir = tmp_path / "datadir"
+        data_dir.mkdir()
+        (data_dir / "abalone.csv").write_text(Path(regression_csv).read_text(encoding="utf-8"),
+                                              encoding="utf-8")
+        monkeypatch.setenv("SQOPT_DATA_DIR", str(data_dir))
+        assert exit_code(["experiment", "abalone", "--synthetic", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flag", [["--data", "/nonexistent.csv"], ["--synthetic"]])
+    @pytest.mark.parametrize("name", ["toyreg", "convergence"])
+    def test_dataset_flags_rejected_where_no_dataset_is_read(self, name, flag, tmp_path, capsys):
+        assert exit_code(["experiment", name, *flag, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
     def test_convergence_runs(self, tmp_path):
         out = tmp_path / "conv"
         # shrink the study via the library entry; the CLI default is the full one
@@ -239,3 +291,20 @@ class TestSweep:
 
     def test_requires_some_input(self, tmp_path, capsys):
         assert run(["sweep-nu", "--p", "0.5", "--out", str(tmp_path / "s")]) == 2
+
+    def test_values_with_data_rejected(self, tmp_path, capsys):
+        assert exit_code(["sweep-nu", "--values", "1,2,3", "--data", "/nonexistent.csv", "--p", "0.5",
+                          "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_weights_with_fit_first_rejected(self, regression_csv, tmp_path, capsys):
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.5\n", encoding="utf-8")
+        assert exit_code(["sweep-nu", "--data", regression_csv, "--weights", str(weights),
+                          "--fit-first", "--p", "0.9", "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_fit_first_without_data_rejected(self, tmp_path, capsys):
+        assert exit_code(["sweep-nu", "--values", "1,2,3", "--fit-first", "--p", "0.5",
+                          "--out", str(tmp_path / "s")]) == 2
+        assert "only with --data" in capsys.readouterr().err

@@ -43,6 +43,13 @@ class TestDataset:
         sub = ds.subset([1, 3, 5])
         np.testing.assert_allclose(sub.targets, [1.0, 3.0, 5.0])
 
+    def test_subset_boolean_mask(self):
+        ds = Dataset(np.arange(5.0)[:, None], np.arange(0.0, 50.0, 10.0))
+        sub = ds.subset(ds.targets > 25)
+        np.testing.assert_array_equal(sub.targets, [30.0, 40.0])
+        np.testing.assert_array_equal(sub.features[:, 0], [3.0, 4.0])
+        assert ds.subset([]).n_rows == 0
+
 
 class TestModelSpec:
     def test_validation(self):
@@ -238,6 +245,12 @@ class TestGroupStructure:
     def test_default_alpha_uniform(self):
         groups = GroupStructure(np.array([0, 1, 2, 0]))
         np.testing.assert_allclose(groups.alpha, [1 / 3] * 3)
+
+    def test_subset_boolean_mask(self):
+        groups = GroupStructure(np.array([2, 1, 0, 0, 1]))
+        sub = groups.subset(np.array([True, False, True, False, True]))
+        np.testing.assert_array_equal(sub.assignment, [2, 0, 1])
+        np.testing.assert_array_equal(groups.subset([4, 0, 2]).assignment, [1, 2, 0])
 
 
 class TestGroupedLossMap:

@@ -22,13 +22,9 @@ from sqopt import (
     superquantile_integral,
     tail_cap,
 )
-from sqopt.smoothing import (
-    conv_smoothed_positive_part_quadrature,
-    dual_derivative,
-    dual_objective,
-)
+from sqopt.smoothing import dual_derivative, dual_objective
 
-from reference import grid_max, project_simplex, relative_gap
+from reference import conv_smoothed_positive_part_quadrature, grid_max, project_simplex, relative_gap
 
 
 def random_instance(rng, max_n=60):
