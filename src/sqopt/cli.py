@@ -101,6 +101,9 @@ def _print_wall_time(started: float) -> None:
 
 
 def cmd_eval(args) -> int:
+    if args.smoothing is not None and args.nu is None:
+        print("error: --smoothing applies only with --nu", file=sys.stderr)
+        return 2
     values = _read_values(args)
     p = args.p
     print(f"n: {values.size}")
@@ -112,7 +115,7 @@ def cmd_eval(args) -> int:
     var_value, eta = superquantile_variational(values, p)
     print(f"superquantile_variational: {var_value!r} (threshold {eta!r})")
     if args.nu is not None:
-        spec = SmoothingSpec(args.smoothing, args.nu)
+        spec = SmoothingSpec(args.smoothing or "euclidean", args.nu)
         smoothed, smooth_weights = smoothed_superquantile(values, spec, p)
         print(f"smoothed ({spec.kind}, nu={spec.nu!r}): {smoothed!r}")
         print(f"smoothed weights: min={float(smooth_weights.min())!r} "
@@ -204,22 +207,30 @@ def cmd_sweep_nu(args) -> int:
             print("error: sweep-nu needs --values/--input or --data with --weights/--fit-first",
                   file=sys.stderr)
             return 2
-        if args.weights is not None or args.fit_first:
-            print("error: --weights and --fit-first apply only with --data", file=sys.stderr)
+        given = {"--weights": args.weights, "--fit-first": args.fit_first or None,
+                 "--loss": args.loss, "--model": args.model, "--nu": args.nu}
+        model_flags = [flag for flag, value in given.items() if value is not None]
+        if model_flags:
+            print(f"error: {', '.join(model_flags)} apply only with --data", file=sys.stderr)
             return 2
         values = _read_values(args)
     else:
-        task = "classification" if args.loss == "logistic" else "regression"
+        if args.weights is not None and args.nu is not None:
+            print("error: --nu applies only with --fit-first", file=sys.stderr)
+            return 2
+        loss = args.loss or "squared"
+        task = "classification" if loss == "logistic" else "regression"
         dataset = load_csv(args.data, task=task)
-        kind, degree = args.model
-        model = ModelSpec(kind=kind, degree=degree, loss=args.loss)
+        kind, degree = args.model or ("linear", 1)
+        model = ModelSpec(kind=kind, degree=degree, loss=loss)
         loss_map = pointwise_loss_map(dataset, model)
         if args.weights is not None:
             with open(args.weights, encoding="utf-8") as handle:
                 w = np.array([float(line) for line in handle.read().split() if line.strip()])
         elif args.fit_first:
-            settings = FitSettings(loss=args.loss, model_kind=kind, degree=degree, p=args.p,
-                                   nu=args.nu, smoothing=args.smoothing, seed=args.seed)
+            settings = FitSettings(loss=loss, model_kind=kind, degree=degree, p=args.p,
+                                   nu=0.1 if args.nu is None else args.nu,
+                                   smoothing=args.smoothing, seed=args.seed)
             report, _ = fit_models(dataset, settings)
             w = np.array(report["models"]["superquantile"]["optim"]["weights"])
         else:
@@ -248,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--values", help="comma-separated loss values")
     p_eval.add_argument("--p", type=_tail_level, required=True)
     p_eval.add_argument("--nu", type=float, default=None, help="also report the smoothed value")
-    p_eval.add_argument("--smoothing", choices=("euclidean", "kl"), default="euclidean")
+    p_eval.add_argument("--smoothing", choices=("euclidean", "kl"), default=None,
+                        help="divergence of the smoothed value, needs --nu (default: euclidean)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_fit = sub.add_parser("fit", help="train mean-loss and tail-risk models on a CSV")
@@ -279,19 +291,22 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_source.add_argument("--values", default=None, help="comma-separated loss values")
     sweep_source.add_argument("--input", default=None, help="CSV file of loss values")
     sweep_source.add_argument("--data", default=None, help="dataset CSV (model mode)")
-    p_sweep.add_argument("--loss", choices=("squared", "logistic"), default="squared")
-    p_sweep.add_argument("--model", type=_parse_model, default=("linear", 1))
+    p_sweep.add_argument("--loss", choices=("squared", "logistic"), default=None,
+                         help="--data mode only (default: squared)")
+    p_sweep.add_argument("--model", type=_parse_model, default=None,
+                         help="--data mode only (default: linear)")
     sweep_point = p_sweep.add_mutually_exclusive_group()
     sweep_point.add_argument("--w", "--weights", dest="weights", default=None,
                              help="file of fixed model weights")
     sweep_point.add_argument("--fit-first", action="store_true",
                              help="fit the tail-risk model first, sweep at its solution")
     p_sweep.add_argument("--p", type=_tail_level, required=True)
-    p_sweep.add_argument("--nu", type=float, default=0.1, help="strength used by --fit-first")
+    p_sweep.add_argument("--nu", type=float, default=None,
+                         help="strength used by --fit-first (default: 0.1)")
     p_sweep.add_argument("--smoothing", choices=("euclidean", "kl"), default="euclidean")
     p_sweep.add_argument("--grid", type=_float_list, default=None,
                          help="comma-separated nu grid (default: log-spaced around the data scale)")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=int, default=0, help="read by --fit-first only")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep_nu)
     return parser

@@ -236,5 +236,6 @@ def conformity(pi, alpha) -> float:
 
 
 def group_metrics(dataset: Dataset, model: ModelSpec, groups: GroupStructure, w) -> np.ndarray:
-    """Mean loss of model ``w`` on each group (regularization excluded)."""
-    return grouped_loss_map(dataset, model, groups).eval(np.asarray(w, dtype=float))
+    """Mean loss of model ``w`` on each group (regularization excluded; ``alpha`` is not read)."""
+    uniform = GroupStructure(groups.assignment)
+    return grouped_loss_map(dataset, model, uniform).eval(np.asarray(w, dtype=float))

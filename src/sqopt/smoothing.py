@@ -15,14 +15,16 @@ convex function of a single scalar shift with a monotone derivative.
 with one safeguarded Newton iteration: it centres the sample at its
 p-quantile, brackets the root in closed form without sorting, and takes the
 slope and the curvature from one O(n) pass per step, bisecting the bracket
-when a step leaves it or stalls.  :func:`bisect_dual` is the independent
-bisection-only reference.
+when a step leaves it or stalls.  The smoothed value comes from the weights
+of the last pass.  :func:`bisect_dual` is the independent bisection-only
+reference.
 
 The module also hosts the equivalence toolkit between this smoothing and the
 classical smoothing of the positive part: ``smoothed_positive_part`` (one
 scalar term of the variational form), ``conv_smoothed_positive_part``
-(convolution of ``max(. , 0)`` with a mollifier density, in closed form), and
-the two conversion maps between densities and divergences.
+(convolution of ``max(. , 0)`` with a mollifier density, in closed form), the
+two conversion maps between densities and divergences, and the uniform
+``DensitySpec`` recovered from the euclidean smoothing.
 """
 
 from __future__ import annotations
@@ -95,16 +97,6 @@ class DualSolution:
     value: float
 
 
-def _conjugate_raw(s: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float) -> np.ndarray:
-    if kind == EUCLIDEAN:
-        t = np.clip(s / nu + 1.0 / n, 0.0, cap)
-        return s * t - 0.5 * nu * (t - 1.0 / n) ** 2
-    # KL: on the unsaturated branch the maximum value collapses to nu * t
-    hi = nu * (1.0 - math.log1p(-p))
-    t = np.exp(np.minimum(s, hi) / nu - 1.0) / n
-    return np.where(s >= hi, cap * (s + nu * math.log1p(-p)), nu * t)
-
-
 def _weights_and_curvature(s: np.ndarray, kind: str, nu: float, n: int, p: float,
                            cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal weights at the shifted values ``s = u - eta`` and their curvature shares.
@@ -122,6 +114,16 @@ def _weights_and_curvature(s: np.ndarray, kind: str, nu: float, n: int, p: float
     return np.where(saturated, cap, np.minimum(t, cap)), np.where(saturated, 0.0, t)
 
 
+def _conjugate_values(s: np.ndarray, weights: np.ndarray, curvature: np.ndarray, kind: str,
+                      nu: float, n: int, p: float, cap: float) -> np.ndarray:
+    """Conjugate values at ``s`` from the output of :func:`_weights_and_curvature` there."""
+    if kind == EUCLIDEAN:
+        return s * weights - 0.5 * nu * (weights - 1.0 / n) ** 2
+    # unsaturated, the KL value is nu * t, the curvature share; saturation is
+    # tested on s, since an underflowed weight has zero curvature too
+    return np.where(s >= nu * (1.0 - math.log1p(-p)), cap * (s + nu * math.log1p(-p)), nu * curvature)
+
+
 def scalar_conjugate(s, spec: SmoothingSpec, n: int, p: float):
     """One coordinate's share of the smoothed dual objective.
 
@@ -131,7 +133,9 @@ def scalar_conjugate(s, spec: SmoothingSpec, n: int, p: float):
     """
     p = check_tail(p)
     s_arr = np.asarray(s, dtype=float)
-    out = _conjugate_raw(s_arr, spec.kind, spec.nu, n, p, tail_cap(n, p))
+    cap = tail_cap(n, p)
+    weights, curvature = _weights_and_curvature(s_arr, spec.kind, spec.nu, n, p, cap)
+    out = _conjugate_values(s_arr, weights, curvature, spec.kind, spec.nu, n, p, cap)
     return out if s_arr.ndim else float(out)
 
 
@@ -151,8 +155,7 @@ def scalar_conjugate_grad(s, spec: SmoothingSpec, n: int, p: float):
 def dual_objective(eta: float, values, spec: SmoothingSpec, p: float) -> float:
     """Dual function ``eta + sum_i scalar_conjugate(u_i - eta)``; convex in eta."""
     u = as_sample(values)
-    p = check_tail(p)
-    return float(eta + _conjugate_raw(u - eta, spec.kind, spec.nu, u.size, p, tail_cap(u.size, p)).sum())
+    return float(eta + scalar_conjugate(u - eta, spec, u.size, p).sum())
 
 
 def dual_derivative(eta: float, values, spec: SmoothingSpec, p: float) -> float:
@@ -211,10 +214,11 @@ def _newton_step(slope: float, curvature: float, kind: str, nu: float) -> float:
     return -nu * math.log1p(ratio) if ratio > -1.0 else math.inf
 
 
-def _solution_at(v: np.ndarray, shift: float, eta: float, weights: np.ndarray,
+def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray,
                  curvature: np.ndarray, kind: str, nu: float, n: int, p: float,
                  cap: float) -> DualSolution:
-    """Weights, threshold ``shift + eta`` and value of a dual solve on ``v = u - shift``."""
+    """Threshold ``shift + eta``, weights and value from a solve's last pass at ``s = v - eta``."""
+    value = shift + (eta + float(_conjugate_values(s, weights, curvature, kind, nu, n, p, cap).sum()))
     # the quantization of eta floors the achievable |sum - 1| at
     # curvature * ulp(eta); spread that residual over the coordinates in
     # proportion to their curvature, which is how an infinitesimal eta
@@ -225,7 +229,6 @@ def _solution_at(v: np.ndarray, shift: float, eta: float, weights: np.ndarray,
         adjusted = weights - (resid / total) * curvature
         if adjusted.min() >= 0.0 and adjusted.max() <= cap:
             weights = adjusted
-    value = shift + (eta + float(_conjugate_raw(v - eta, kind, nu, n, p, cap).sum()))
     return DualSolution(threshold=float(shift + eta), weights=weights, value=value)
 
 
@@ -261,7 +264,8 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
     tol = _slope_eps(p)
     previous = math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        weights, curvature = _weights_and_curvature(v - eta, kind, nu, n, p, cap)
+        s = v - eta
+        weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap)
         slope = 1.0 - float(weights.sum())
         if abs(slope) <= tol:
             break
@@ -279,8 +283,9 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
         previous = abs(slope)
         eta = step
     else:
-        weights, curvature = _weights_and_curvature(v - eta, kind, nu, n, p, cap)
-    return _solution_at(v, shift, eta, weights, curvature, kind, nu, n, p, cap)
+        s = v - eta
+        weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap)
+    return _solution_at(shift, eta, s, weights, curvature, kind, nu, n, p, cap)
 
 
 def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
@@ -308,8 +313,9 @@ def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
             if _slope(hi, u, kind, nu, n, p, cap) >= -eps:
                 break
     eta = _bisect(u, kind, nu, n, p, cap, lo, hi)
-    weights, curvature = _weights_and_curvature(u - eta, kind, nu, n, p, cap)
-    return _solution_at(u, 0.0, eta, weights, curvature, kind, nu, n, p, cap)
+    s = u - eta
+    weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap)
+    return _solution_at(0.0, eta, s, weights, curvature, kind, nu, n, p, cap)
 
 
 def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float, np.ndarray]:
@@ -476,24 +482,18 @@ def divergence_from_density(density: DensitySpec):
 class SmoothingDensity:
     """Uniform density recovered as the curvature of the euclidean smoothing.
 
-    ``tail_value`` is the limit of the smoothed positive part at minus
+    ``density`` is the unit-strength mollifier that
+    :func:`conv_smoothed_positive_part` and :func:`divergence_from_density`
+    take.  ``tail_value`` is the limit of the smoothed positive part at minus
     infinity; adding it to the convolution of ``max(. , 0)`` with this
-    density reproduces the smoothing exactly.
-    ``max_reconstruction_error`` stores the largest residual of that
-    reconstruction on a grid straddling the support, with the convolution
-    integral evaluated in closed form.
+    density at strength ``nu`` reproduces the smoothing exactly.
+    ``max_reconstruction_error`` is the largest residual of that
+    reconstruction on a grid straddling the support.
     """
 
-    height: float
-    support: tuple[float, float]
+    density: DensitySpec
     tail_value: float
     max_reconstruction_error: float
-
-    def pdf(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        lo, hi = self.support
-        out = np.where((s_arr >= lo) & (s_arr <= hi), self.height, 0.0)
-        return out if s_arr.ndim else float(out)
 
 
 def density_from_smoothing(spec: SmoothingSpec, n: int, p: float) -> SmoothingDensity:
@@ -501,29 +501,23 @@ def density_from_smoothing(spec: SmoothingSpec, n: int, p: float) -> SmoothingDe
 
     The euclidean smoothed positive part is piecewise quadratic, so its
     second derivative is a uniform density on the interval between the two
-    slope changes.  The returned object carries the check that convolving
-    ``max(. , 0)`` with this density (plus the tail constant) rebuilds the
-    smoothing: the convolution of the uniform density is integrated exactly
-    from the returned height, support and tail value, and compared with
-    :func:`smoothed_positive_part` on a grid.  The KL kind has unbounded
-    curvature support and is rejected.
+    slope changes, ``[-nu/n, nu p/(n(1-p))]``: at unit strength
+    ``DensitySpec("uniform", -1/n, p/(n(1-p)))``, which does not depend on
+    ``nu``.  The reconstruction check compares
+    :func:`conv_smoothed_positive_part` of it at strength ``nu``, plus the
+    tail constant, with :func:`smoothed_positive_part` on a grid.  The KL
+    kind has unbounded curvature support and is rejected.
     """
     if spec.kind != EUCLIDEAN:
         raise ValueError("density reconstruction is implemented for the 'euclidean' kind only")
     p = check_tail(p)
     nu = spec.nu
-    c = n * (1.0 - p)
-    lo = -nu / n
-    hi = nu * p / (n * (1.0 - p))
-    height = c / nu
+    density = DensitySpec("uniform", -1.0 / n, p / (n * (1.0 - p)))
     tail_value = -nu * (1.0 - p) / (2.0 * n)
 
+    lo, hi = nu * density.a, nu * density.b
     width = max(hi - lo, nu)
     etas = np.linspace(lo - width, hi + width, _DENSITY_CHECK_POINTS)
-    # int_lo^min(eta, hi) (eta - s) * height ds, zero for eta <= lo
-    top = np.minimum(etas, hi)
-    integral = np.where(etas > lo, 0.5 * height * ((etas - lo) ** 2 - (etas - top) ** 2), 0.0)
-    rebuilt = tail_value + integral
+    rebuilt = tail_value + conv_smoothed_positive_part(etas, density, nu)
     worst = float(np.max(np.abs(rebuilt - smoothed_positive_part(etas, spec, n, p))))
-    return SmoothingDensity(height=height, support=(lo, hi), tail_value=tail_value,
-                            max_reconstruction_error=worst)
+    return SmoothingDensity(density=density, tail_value=tail_value, max_reconstruction_error=worst)

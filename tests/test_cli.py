@@ -89,6 +89,10 @@ class TestEval:
             run(["eval", "--values", "1,2", "--p", "1"])
         assert err.value.code == 2
 
+    def test_smoothing_without_nu_rejected(self, capsys):
+        assert run(["eval", "--values", "1,2,3", "--p", "0.5", "--smoothing", "kl"]) == 2
+        assert "only with --nu" in capsys.readouterr().err
+
 
 class TestModuleEntry:
     @staticmethod
@@ -308,3 +312,19 @@ class TestSweep:
         assert exit_code(["sweep-nu", "--values", "1,2,3", "--fit-first", "--p", "0.5",
                           "--out", str(tmp_path / "s")]) == 2
         assert "only with --data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--loss", "logistic"], ["--model", "poly3"], ["--nu", "5"],
+                                       ["--model", "poly3", "--loss", "logistic", "--nu", "5"]])
+    def test_model_flags_without_data_rejected(self, flags, tmp_path, capsys):
+        assert run(["sweep-nu", "--values", "1,2,3", "--p", "0.5", *flags,
+                    "--out", str(tmp_path / "s")]) == 2
+        assert "only with --data" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_nu_with_weights_rejected(self, regression_csv, tmp_path, capsys):
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.5\n0.1\n", encoding="utf-8")
+        assert run(["sweep-nu", "--data", regression_csv, "--weights", str(weights), "--nu", "0.5",
+                    "--p", "0.9", "--out", str(tmp_path / "s")]) == 2
+        assert "only with --fit-first" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()

@@ -366,3 +366,13 @@ class TestGroupMetrics:
         assert metrics.shape == (2,)
         assert metrics[0] == pytest.approx(losses[:6].mean(), rel=1e-14)
         assert metrics[1] == pytest.approx(losses[6:].mean(), rel=1e-14)
+
+    def test_non_uniform_alpha_gives_the_same_means(self):
+        rng = np.random.default_rng(47)
+        ds = Dataset(rng.normal(0, 1, (10, 2)), rng.normal(0, 1, 10))
+        model = ModelSpec(kind="linear", loss="squared")
+        assignment = np.array([0] * 6 + [1] * 4)
+        w = rng.normal(0, 1, 2)
+        weighted = group_metrics(ds, model, GroupStructure(assignment, alpha=[0.7, 0.3]), w)
+        uniform = group_metrics(ds, model, GroupStructure(assignment), w)
+        np.testing.assert_array_equal(weighted, uniform)

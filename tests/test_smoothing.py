@@ -22,6 +22,7 @@ from sqopt import (
     superquantile_integral,
     tail_cap,
 )
+import sqopt.smoothing as smoothing_module
 from sqopt.smoothing import dual_derivative, dual_objective
 
 from reference import conv_smoothed_positive_part_quadrature, grid_max, project_simplex, relative_gap
@@ -480,25 +481,69 @@ class TestDensityFromSmoothing:
     def test_euclidean_reconstruction(self):
         for (n, p, nu) in [(5, 0.4, 1.0), (30, 0.9, 0.3), (4, 0.0, 1.0), (12, 0.75, 2.0)]:
             spec = SmoothingSpec("euclidean", nu)
-            dens = density_from_smoothing(spec, n, p)
-            lo, hi = dens.support
-            assert lo == pytest.approx(-nu / n, rel=1e-15)
-            assert hi == pytest.approx(nu * p / (n * (1 - p)), rel=1e-15, abs=1e-15)
-            mass = dens.height * (hi - lo)
+            recovered = density_from_smoothing(spec, n, p)
+            dens = recovered.density
+            assert nu * dens.a == pytest.approx(-nu / n, rel=1e-15)
+            assert nu * dens.b == pytest.approx(nu * p / (n * (1 - p)), rel=1e-15, abs=1e-15)
+            mass = dens.pdf(0.5 * (dens.a + dens.b)) * (dens.b - dens.a)
             assert mass == pytest.approx(1.0, rel=1e-12)
-            assert dens.max_reconstruction_error <= 1e-4
-            assert dens.tail_value == pytest.approx(-nu * (1 - p) / (2 * n), rel=1e-15)
+            assert recovered.max_reconstruction_error <= 1e-4
+            assert recovered.tail_value == pytest.approx(-nu * (1 - p) / (2 * n), rel=1e-15)
 
     def test_pdf_support(self):
-        dens = density_from_smoothing(SmoothingSpec("euclidean", 1.0), 5, 0.4)
-        lo, hi = dens.support
-        assert dens.pdf(0.5 * (lo + hi)) == dens.height
-        assert dens.pdf(lo - 1.0) == 0.0
-        assert dens.pdf(hi + 1.0) == 0.0
+        dens = density_from_smoothing(SmoothingSpec("euclidean", 1.0), 5, 0.4).density
+        assert dens.kind == "uniform"
+        assert dens.pdf(0.5 * (dens.a + dens.b)) == 1.0 / (dens.b - dens.a)
+        assert dens.pdf(dens.a - 1.0) == 0.0
+        assert dens.pdf(dens.b + 1.0) == 0.0
+
+    @pytest.mark.parametrize("n,p", [(5, 0.4), (30, 0.9), (4, 0.0), (12, 0.75)])
+    def test_divergence_round_trip(self, n, p):
+        # the conjugate of the recovered density's divergence, plus the tail
+        # constant, is the unit-strength smoothed positive part
+        spec = SmoothingSpec("euclidean", 1.0)
+        recovered = density_from_smoothing(spec, n, p)
+        dens = recovered.density
+        dbar = divergence_from_density(dens)
+        grid = np.linspace(0.0, 1.0, 4001)
+        penalties = dbar(grid)
+        width = dens.b - dens.a
+        worst = 0.0
+        for x in np.linspace(dens.a - width, dens.b + width, 41):
+            stationary = float(dens.cdf(x))
+            best = max(float((x * grid - penalties).max()), x * stationary - float(dbar(stationary)))
+            rebuilt = best + recovered.tail_value
+            worst = max(worst, abs(rebuilt - float(smoothed_positive_part(x, spec, n, p))))
+        assert worst <= 1e-12
 
     def test_kl_rejected(self):
         with pytest.raises(ValueError, match="euclidean"):
             density_from_smoothing(SmoothingSpec("kl", 1.0), 5, 0.4)
+
+
+class TestOneConjugatePerPass:
+    @pytest.mark.parametrize("kind,elementwise", [("euclidean", "clip"), ("kl", "exp")])
+    def test_value_reuses_last_pass(self, kind, elementwise, monkeypatch):
+        # the weight formula runs once per Newton pass, and the value adds no run of its own
+        counts = {"passes": 0, "elementwise": 0}
+        weights_and_curvature = smoothing_module._weights_and_curvature
+        numpy_fn = getattr(np, elementwise)
+
+        def counted_pass(*args):
+            counts["passes"] += 1
+            return weights_and_curvature(*args)
+
+        def counted_fn(*args, **kwargs):
+            counts["elementwise"] += 1
+            return numpy_fn(*args, **kwargs)
+
+        u = np.random.default_rng(7).normal(0.0, 1.0, 500)
+        monkeypatch.setattr(smoothing_module, "_weights_and_curvature", counted_pass)
+        monkeypatch.setattr(np, elementwise, counted_fn)
+        solve_dual_1d(u, SmoothingSpec(kind, 0.1), 0.9)
+        monkeypatch.undo()
+        assert counts["passes"] >= 1
+        assert counts["elementwise"] == counts["passes"]
 
 
 class TestDualObjectiveHelpers:
