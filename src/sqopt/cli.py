@@ -78,22 +78,20 @@ def _read_values(args) -> np.ndarray:
     return np.array(cells)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+def _write_artifacts(out: str, report: dict, **tables: list[dict]) -> None:
+    """Write ``report.json`` and one ``<keyword>.csv`` per table of row dicts into ``out``."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "report.json", "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if not rows:
-            return
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+    for stem, rows in tables.items():
+        with open(out / f"{stem}.csv", "w", newline="", encoding="utf-8") as handle:
+            if rows:
+                writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
+                                 for row in rows)
 
 
 def _print_wall_time(started: float) -> None:
@@ -133,13 +131,10 @@ def cmd_fit(args) -> int:
                            nu=args.nu, smoothing=args.smoothing, reg=args.reg,
                            train_fraction=args.split, seed=args.seed)
     report, predictions = fit_models(dataset, settings)
-    out = Path(args.out)
-    _write_json(out / "report.json", report)
-    _write_csv(out / "predictions.csv", predictions)
     weight_rows = [{"model": name, "index": i, "value": v}
                    for name, entry in report["models"].items()
                    for i, v in enumerate(entry["optim"]["weights"])]
-    _write_csv(out / "weights.csv", weight_rows)
+    _write_artifacts(args.out, report, predictions=predictions, weights=weight_rows)
     for name, entry in report["models"].items():
         print(f"{name}: status={entry['optim']['status']} test={entry['metrics']['test']}")
     _print_wall_time(started)
@@ -184,9 +179,7 @@ def cmd_experiment(args) -> int:
     else:
         report, rows = run_convergence(seed=args.seed)
 
-    out = Path(args.out)
-    _write_json(out / "report.json", report)
-    _write_csv(out / "predictions.csv", rows)
+    _write_artifacts(args.out, report, predictions=rows)
     summary = {k: v for k, v in report.items() if k in
                ("experiment", "median_gaps", "strictly_decreasing", "subgroup_gap",
                 "worst_subgroup_loss", "summary")}
@@ -227,6 +220,8 @@ def cmd_sweep_nu(args) -> int:
         if args.weights is not None:
             with open(args.weights, encoding="utf-8") as handle:
                 w = np.array([float(line) for line in handle.read().split() if line.strip()])
+            if w.size != loss_map.dim:
+                raise ValueError(f"--weights file has {w.size} values, the model has {loss_map.dim} parameters")
         elif args.fit_first:
             settings = FitSettings(loss=loss, model_kind=kind, degree=degree, p=args.p,
                                    nu=0.1 if args.nu is None else args.nu,
@@ -239,10 +234,7 @@ def cmd_sweep_nu(args) -> int:
         values = loss_map.eval(w)
 
     report, rows, weight_rows = run_sweep(values, args.p, kind=args.smoothing, grid=args.grid)
-    out = Path(args.out)
-    _write_json(out / "report.json", report)
-    _write_csv(out / "sweep.csv", rows)
-    _write_csv(out / "weights_by_nu.csv", weight_rows)
+    _write_artifacts(args.out, report, sweep=rows, weights_by_nu=weight_rows)
     print(json.dumps(report["endpoints"], indent=2, sort_keys=True))
     _print_wall_time(started)
     return 0
@@ -296,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--model", type=_parse_model, default=None,
                          help="--data mode only (default: linear)")
     sweep_point = p_sweep.add_mutually_exclusive_group()
-    sweep_point.add_argument("--w", "--weights", dest="weights", default=None,
-                             help="file of fixed model weights")
+    sweep_point.add_argument("--weights", default=None, help="file of fixed model weights")
     sweep_point.add_argument("--fit-first", action="store_true",
                              help="fit the tail-risk model first, sweep at its solution")
     p_sweep.add_argument("--p", type=_tail_level, required=True)

@@ -1,9 +1,11 @@
 """Experiment drivers behind the command line interface.
 
 Each driver is a pure function from a seed (plus optional dataset) to a
-report dictionary and tabular prediction data, so the studies can run and be
-checked without touching the filesystem.  The CLI layer only parses flags and
-writes the artifacts.
+report dictionary and per-row tables, so the studies can run and be checked
+without touching the filesystem.  A table is a list of row dicts that
+``_records`` builds from whole columns; every cell is a plain Python number
+or label, which the CSV writer prints exactly.  The CLI layer only parses
+flags and writes the artifacts, through one writer.
 """
 
 from __future__ import annotations
@@ -71,12 +73,9 @@ class FitSettings:
 def regression_metrics(targets: np.ndarray, predictions: np.ndarray) -> dict:
     """Mean and upper percentiles of the absolute residuals."""
     residuals = np.abs(targets - predictions)
-    return {
-        "residual_mean": float(residuals.mean()),
-        "residual_p80": float(np.percentile(residuals, 80)),
-        "residual_p90": float(np.percentile(residuals, 90)),
-        "residual_p95": float(np.percentile(residuals, 95)),
-    }
+    p80, p90, p95 = np.percentile(residuals, [80, 90, 95]).tolist()
+    return {"residual_mean": float(residuals.mean()),
+            "residual_p80": p80, "residual_p90": p90, "residual_p95": p95}
 
 
 def classification_metrics(targets: np.ndarray, margins: np.ndarray) -> dict:
@@ -91,11 +90,20 @@ def classification_metrics(targets: np.ndarray, margins: np.ndarray) -> dict:
     return {"accuracy": accuracy, "precision": precision}
 
 
-def _split_metrics(dataset: Dataset, model: ModelSpec, w: np.ndarray, task: str) -> dict:
-    preds = predict(dataset, model, w)
+def _split_metrics(targets: np.ndarray, preds: np.ndarray, task: str) -> dict:
     if task == "regression":
-        return regression_metrics(dataset.targets, preds)
-    return classification_metrics(dataset.targets, preds)
+        return regression_metrics(targets, preds)
+    return classification_metrics(targets, preds)
+
+
+def _records(**columns) -> list[dict]:
+    """Row dicts from equal-length columns, in keyword order.
+
+    ``tolist`` makes every cell a Python scalar: the CSV writer prints floats
+    with ``repr``, which gives ``np.float64(...)`` for a numpy scalar.
+    """
+    cells = [np.asarray(column).tolist() for column in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*cells)]
 
 
 def _optim_summary(result) -> dict:
@@ -118,9 +126,8 @@ def fit_models(dataset: Dataset, settings: FitSettings,
     task = "classification" if settings.loss == "logistic" else "regression"
     model = settings.model()
     train_idx, test_idx = split_indices(dataset.n_rows, SplitSpec(settings.train_fraction, settings.seed))
-    train, test = dataset.subset(train_idx), dataset.subset(test_idx)
 
-    loss_map = pointwise_loss_map(train, model)
+    loss_map = pointwise_loss_map(dataset.subset(train_idx), model)
     w0 = np.zeros(loss_map.dim)
     erm_result = minimize(erm_objective(loss_map, settings.reg), w0)
     sq_result = minimize(
@@ -136,35 +143,27 @@ def fit_models(dataset: Dataset, settings: FitSettings,
         "n_test": int(test_idx.size),
         "models": {},
     }
-    predictions: list[dict] = []
     fits = {"erm": erm_result, "superquantile": sq_result}
     all_preds = {}
     for name, result in fits.items():
-        all_preds[name] = predict(dataset, model, result.w_star)
+        preds = all_preds[name] = predict(dataset, model, result.w_star)
         entry = {
             "optim": _optim_summary(result),
             "metrics": {
-                "train": _split_metrics(train, model, result.w_star, task),
-                "test": _split_metrics(test, model, result.w_star, task),
+                split: _split_metrics(dataset.targets[idx], preds[idx], task)
+                for split, idx in (("train", train_idx), ("test", test_idx))
             },
         }
         if groups is not None:
-            entry["group_losses"] = [float(v) for v in group_metrics(dataset, model, groups, result.w_star)]
+            entry["group_losses"] = group_metrics(dataset, model, groups, result.w_star).tolist()
         report["models"][name] = entry
 
     in_train = np.zeros(dataset.n_rows, dtype=bool)
     in_train[train_idx] = True
-    for i in range(dataset.n_rows):
-        record = {
-            "row": i,
-            "split": "train" if in_train[i] else "test",
-            "target": float(dataset.targets[i]),
-            "prediction_erm": float(all_preds["erm"][i]),
-            "prediction_superquantile": float(all_preds["superquantile"][i]),
-        }
-        if groups is not None:
-            record["group"] = int(groups.assignment[i])
-        predictions.append(record)
+    group_column = {} if groups is None else {"group": groups.assignment}
+    predictions = _records(row=np.arange(dataset.n_rows), split=np.where(in_train, "train", "test"),
+                           target=dataset.targets, prediction_erm=all_preds["erm"],
+                           prediction_superquantile=all_preds["superquantile"], **group_column)
     return report, predictions
 
 
@@ -228,24 +227,16 @@ def run_federated(seed: int = 0) -> tuple[dict, list[dict]]:
                    "smoothing": "euclidean", "conformity_level": FEDERATED_CONFORMITY_LEVEL},
         "models": {},
     }
-    predictions: list[dict] = []
     preds = {}
     for name, result in fits.items():
-        preds[name] = predict(dataset, model, result.w_star)
+        preds[f"prediction_{name}"] = predict(dataset, model, result.w_star)
         report["models"][name] = {
             "optim": _optim_summary(result),
-            "device_losses": [float(v) for v in group_metrics(dataset, model, groups, result.w_star)],
-            "subgroup_losses": [float(v) for v in group_metrics(dataset, model, subgroup, result.w_star)],
+            "device_losses": group_metrics(dataset, model, groups, result.w_star).tolist(),
+            "subgroup_losses": group_metrics(dataset, model, subgroup, result.w_star).tolist(),
         }
-    for i in range(dataset.n_rows):
-        predictions.append({
-            "row": i,
-            "target": float(dataset.targets[i]),
-            "device": int(groups.assignment[i]),
-            "prediction_erm": float(preds["erm"][i]),
-            "prediction_superquantile": float(preds["superquantile"][i]),
-            "prediction_grouped_superquantile": float(preds["grouped_superquantile"][i]),
-        })
+    predictions = _records(row=np.arange(dataset.n_rows), target=dataset.targets,
+                           device=groups.assignment, **preds)
     return report, predictions
 
 
@@ -322,18 +313,17 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
         test = dataset.subset(test_idx)
         shifted = downsample_majority(train, CREDIT_DOWNSAMPLE_RATIO, seed=split_seed)
 
-        folds = _cv_folds(shifted.n_rows, CREDIT_FOLDS, split_seed)
+        # one loss map per fold serves every p: its prediction memo is keyed on the bytes of w
+        folds = []
+        for held in _cv_folds(shifted.n_rows, CREDIT_FOLDS, split_seed):
+            keep = np.setdiff1d(np.arange(shifted.n_rows), held)
+            folds.append((pointwise_loss_map(shifted.subset(keep), model), shifted.subset(held)))
         cv_table = {}
         cv_not_converged = 0
         for p in CREDIT_P_GRID:
             scores = []
-            for j in range(CREDIT_FOLDS):
-                held = folds[j]
-                keep = np.setdiff1d(np.arange(shifted.n_rows), held)
-                fold_train = shifted.subset(keep)
-                fold_val = shifted.subset(held)
-                oracle = smoothed_objective(pointwise_loss_map(fold_train, model), p,
-                                            SmoothingSpec("euclidean", nu), reg)
+            for fold_map, fold_val in folds:
+                oracle = smoothed_objective(fold_map, p, SmoothingSpec("euclidean", nu), reg)
                 result = minimize(oracle, w0)
                 cv_not_converged += result.status != CONVERGED
                 margins = predict(fold_val, model, result.w_star)
@@ -360,14 +350,8 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
             },
         }
         per_seed.append(seed_entry)
-        for i in range(test.n_rows):
-            predictions.append({
-                "seed": split_seed,
-                "row": int(test_idx[i]),
-                "target": float(test.targets[i]),
-                "margin_erm": float(erm_margins[i]),
-                "margin_superquantile": float(sq_margins[i]),
-            })
+        predictions += _records(seed=np.full(test.n_rows, split_seed), row=test_idx, target=test.targets,
+                                margin_erm=erm_margins, margin_superquantile=sq_margins)
 
     def _stats(name, key):
         vals = np.array([s[name][key] for s in per_seed])
@@ -379,29 +363,27 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
         "config": {"p_grid": list(CREDIT_P_GRID), "folds": CREDIT_FOLDS, "nu": nu, "reg": reg,
                    "downsample_ratio": CREDIT_DOWNSAMPLE_RATIO, "n_seeds": CREDIT_SEEDS},
         "per_seed": per_seed,
-        "summary": {
-            "erm": {"accuracy": _stats("erm", "accuracy"), "precision": _stats("erm", "precision")},
-            "superquantile": {"accuracy": _stats("superquantile", "accuracy"),
-                              "precision": _stats("superquantile", "precision")},
-        },
+        "summary": {name: {key: _stats(name, key) for key in ("accuracy", "precision")}
+                    for name in ("erm", "superquantile")},
     }
     return report, predictions
 
 
+CONVERGENCE_P = 0.9
 CONVERGENCE_SIZES = (100, 1_000, 10_000, 100_000)
 CONVERGENCE_REPLICATES = 50
 CONVERGENCE_REFERENCE = 1_000_000
 
 
-def run_convergence(seed: int = 0, p: float = 0.9,
+def run_convergence(seed: int = 0,
                     sizes: tuple[int, ...] = CONVERGENCE_SIZES,
                     replicates: int = CONVERGENCE_REPLICATES,
                     reference_size: int = CONVERGENCE_REFERENCE) -> tuple[dict, list[dict]]:
     """Monte-Carlo check that the empirical tail risk stabilizes with n.
 
-    At a fixed parameter vector, compare the tail risk of n fresh losses with
-    a large-sample reference; the median absolute gap over the replicates
-    shrinks as n grows.
+    At a fixed parameter vector, compare the tail risk at level
+    ``CONVERGENCE_P`` of n fresh losses with a large-sample reference; the
+    median absolute gap over the replicates shrinks as n grows.
     """
     w_bar = np.array(TOY_W_BAR)
     w_eval = np.zeros(3)
@@ -413,7 +395,7 @@ def run_convergence(seed: int = 0, p: float = 0.9,
         return 0.5 * (y - z) ** 2
 
     children = np.random.SeedSequence(seed).spawn(1 + len(sizes) * replicates)
-    reference = superquantile(loss_sample(np.random.default_rng(children[0]), reference_size), p)
+    reference = superquantile(loss_sample(np.random.default_rng(children[0]), reference_size), CONVERGENCE_P)
 
     rows: list[dict] = []
     medians = []
@@ -421,15 +403,14 @@ def run_convergence(seed: int = 0, p: float = 0.9,
         gaps = []
         for r in range(replicates):
             rng = np.random.default_rng(children[1 + si * replicates + r])
-            gap = abs(superquantile(loss_sample(rng, size), p) - reference)
-            gaps.append(gap)
-            rows.append({"n": size, "replicate": r, "gap": float(gap)})
+            gaps.append(abs(superquantile(loss_sample(rng, size), CONVERGENCE_P) - reference))
+        rows += _records(n=np.full(replicates, size), replicate=np.arange(replicates), gap=gaps)
         medians.append(float(np.median(gaps)))
 
     report = {
         "experiment": "convergence",
         "seed": seed,
-        "config": {"p": p, "sizes": list(sizes), "replicates": replicates,
+        "config": {"p": CONVERGENCE_P, "sizes": list(sizes), "replicates": replicates,
                    "reference_size": reference_size},
         "reference_value": float(reference),
         "median_gaps": medians,
@@ -473,9 +454,7 @@ def run_sweep(values, p: float, kind: str = "euclidean",
             "weight_max": float(weights.max()),
             "weight_sup_dist_uniform": float(np.abs(weights - 1.0 / n).max()),
         })
-        for rank, idx in enumerate(order):
-            weight_rows.append({"nu": float(nu), "rank": rank,
-                                "value": float(u[idx]), "weight": float(weights[idx])})
+        weight_rows += _records(nu=np.full(n, nu), rank=np.arange(n), value=u[order], weight=weights[order])
 
     data_range = float(u.max() - u.min()) or 1.0
     tiny, huge = 1e-9 * data_range, 1e9 * data_range

@@ -177,7 +177,11 @@ def erm_value_grad(loss_map: LossMap, w, reg: float = 0.0) -> tuple[float, np.nd
 
 def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
                        reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Closure ``w -> (value, grad)`` for the ridge-regularized smoothed objective."""
+    """Closure ``w -> (value, grad)`` for the ridge-regularized smoothed objective.
+
+    ``p`` is checked here, when the closure is built, as ``reg`` is.
+    """
+    p = check_tail(p)
 
     def value_weights(u: np.ndarray) -> tuple[float, np.ndarray]:
         sol = solve_dual_1d(u, spec, p)

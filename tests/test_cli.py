@@ -274,6 +274,33 @@ class TestExperiment:
         assert len(report["median_gaps"]) == 2
 
 
+# the columns whose cells are labels, and their labels; every other cell must be a plain number
+LABELS = {"split": {"train", "test"}, "model": {"erm", "superquantile"}}
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--data", "{reg}", "--model", "poly2"],
+    ["experiment", "toyreg"],
+    ["experiment", "federated"],
+    ["experiment", "credit", "--synthetic"],
+    ["sweep-nu", "--values", "0.1,0.9,2.3,0.4", "--p", "0.5"],
+], ids=["fit", "toyreg", "federated", "credit", "sweep-nu"])
+def test_every_csv_cell_is_a_number_or_a_label(command, regression_csv, tmp_path):
+    out = tmp_path / "out"
+    assert run([arg.format(reg=regression_csv) for arg in command] + ["--out", str(out)]) == 0
+    tables = sorted(out.glob("*.csv"))
+    assert tables
+    for table in tables:
+        rows = read_csv(table)
+        assert rows, table.name
+        for row in rows:
+            for column, cell in row.items():
+                if column in LABELS:
+                    assert cell in LABELS[column]
+                else:
+                    float(cell)
+
+
 class TestSweep:
     def test_values_mode(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -320,6 +347,16 @@ class TestSweep:
                     "--out", str(tmp_path / "s")]) == 2
         assert "only with --data" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_weights_must_match_the_model(self, regression_csv, tmp_path, capsys):
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.5\n0.1\n", encoding="utf-8")
+        args = ["sweep-nu", "--data", regression_csv, "--weights", str(weights), "--p", "0.9"]
+        assert run([*args, "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert "2 values" in err and "1 parameters" in err
+        assert not (tmp_path / "s").exists()
+        assert run([*args, "--model", "poly1", "--out", str(tmp_path / "ok")]) == 0
 
     def test_nu_with_weights_rejected(self, regression_csv, tmp_path, capsys):
         weights = tmp_path / "w.txt"

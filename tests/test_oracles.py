@@ -241,6 +241,15 @@ class TestErmOracle:
         with pytest.raises(ValueError, match="reg"):
             smoothed_objective(lm, 0.5, SmoothingSpec("euclidean", 1.0), reg=-1.0)(w)
 
+    @pytest.mark.parametrize("p", [1.0, -0.1])
+    def test_invalid_tail_rejected_when_built(self, p):
+        def unreachable(*args):
+            raise AssertionError("the loss map must not be evaluated")
+
+        lm = LossMap(dim=1, n=2, eval=unreachable, adjoint_apply=unreachable)
+        with pytest.raises(ValueError, match="tail probability"):
+            smoothed_objective(lm, p, SmoothingSpec("euclidean", 1.0))
+
 
 class CountedMatrix(np.ndarray):
     """Design matrix that counts its n x d products (its transpose is one too)."""
