@@ -15,13 +15,11 @@ from .core import (
     tail_split,
 )
 from .data import (
-    SplitSpec,
     SyntheticSpec,
     downsample_majority,
     generate_quadratic,
     load_csv,
     split_indices,
-    train_test_split,
 )
 from .models import (
     Dataset,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import quantile, superquantile_dual, superquantile_integral, superquantile_variational
+from .core import as_sample, quantile, superquantile_dual, superquantile_integral, superquantile_variational
 from .data import load_csv
 from .experiments import (
     FitSettings,
@@ -69,13 +69,14 @@ def _float_list(text: str) -> np.ndarray:
 
 
 def _read_values(args) -> np.ndarray:
+    """The sample of ``--values`` or ``--input``, checked before anything is printed or written."""
     if args.values is not None:
-        return _float_list(args.values)
+        return as_sample(_float_list(args.values))
     cells = []
     with open(args.input, newline="", encoding="utf-8") as handle:
         for row in csv.reader(handle):
             cells.extend(float(c) for c in row if c.strip() != "")
-    return np.array(cells)
+    return as_sample(cells)
 
 
 def _write_artifacts(out: str, report: dict, **tables: list[dict]) -> None:
@@ -241,11 +242,12 @@ def cmd_sweep_nu(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sqopt",
+    # allow_abbrev is per parser: a long option must be spelled in full on every command
+    parser = argparse.ArgumentParser(prog="sqopt", allow_abbrev=False,
                                      description="Superquantile optimization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="quantile and superquantile of a sample")
+    p_eval = sub.add_parser("eval", help="quantile and superquantile of a sample", allow_abbrev=False)
     src = p_eval.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="CSV file of loss values")
     src.add_argument("--values", help="comma-separated loss values")
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="divergence of the smoothed value, needs --nu (default: euclidean)")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_fit = sub.add_parser("fit", help="train mean-loss and tail-risk models on a CSV")
+    p_fit = sub.add_parser("fit", help="train mean-loss and tail-risk models on a CSV", allow_abbrev=False)
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--loss", choices=("squared", "logistic"), default="squared")
     p_fit.add_argument("--model", type=_parse_model, default=("linear", 1))
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_exp = sub.add_parser("experiment", help="run a named study")
+    p_exp = sub.add_parser("experiment", help="run a named study", allow_abbrev=False)
     p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", required=True)
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="credit only: use the bundled synthetic stand-in dataset")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_sweep = sub.add_parser("sweep-nu", help="smoothed value across smoothing strengths")
+    p_sweep = sub.add_parser("sweep-nu", help="smoothed value across smoothing strengths", allow_abbrev=False)
     sweep_source = p_sweep.add_mutually_exclusive_group()
     sweep_source.add_argument("--values", default=None, help="comma-separated loss values")
     sweep_source.add_argument("--input", default=None, help="CSV file of loss values")

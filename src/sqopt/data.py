@@ -17,10 +17,8 @@ from .models import Dataset, GroupStructure
 
 __all__ = [
     "SyntheticSpec",
-    "SplitSpec",
     "generate_quadratic",
     "split_indices",
-    "train_test_split",
     "load_csv",
     "downsample_majority",
 ]
@@ -56,16 +54,6 @@ class SyntheticSpec:
                 raise ValueError("mixture fraction must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-
-
 def _quadratic(coeffs, x: np.ndarray) -> np.ndarray:
     w0, w1, w2 = coeffs
     return w0 + w1 * x + w2 * x**2
@@ -97,20 +85,17 @@ def generate_quadratic(spec: SyntheticSpec) -> tuple[Dataset, GroupStructure | N
     return Dataset(x[:, None], y), groups
 
 
-def split_indices(n: int, split: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint train/test row indices (sorted), together covering all rows."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be in (0, 1)")
     if n < 2:
         raise ValueError("need at least two rows to split")
-    rng = np.random.default_rng(split.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_train = int(round(split.train_fraction * n))
+    n_train = int(round(train_fraction * n))
     n_train = min(max(n_train, 1), n - 1)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
-
-def train_test_split(dataset: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:
-    train_idx, test_idx = split_indices(dataset.n_rows, split)
-    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
 def _parse_float(text: str) -> float | None:

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import superquantile
-from .data import SplitSpec, SyntheticSpec, downsample_majority, generate_quadratic, split_indices
+from .core import as_sample, superquantile
+from .data import SyntheticSpec, downsample_majority, generate_quadratic, split_indices
 from .models import Dataset, GroupStructure, ModelSpec, group_metrics, pointwise_loss_map, grouped_loss_map, predict
 from .optim import CONVERGED, minimize
 from .oracles import erm_objective, smoothed_objective
@@ -35,6 +35,7 @@ __all__ = [
     "CREDIT_P_GRID",
 ]
 
+CREDIT_N = 900
 CREDIT_P_GRID = (0.8, 0.85, 0.9, 0.95, 0.99)
 CREDIT_FOLDS = 5
 CREDIT_SEEDS = 5
@@ -125,7 +126,7 @@ def fit_models(dataset: Dataset, settings: FitSettings,
     """
     task = "classification" if settings.loss == "logistic" else "regression"
     model = settings.model()
-    train_idx, test_idx = split_indices(dataset.n_rows, SplitSpec(settings.train_fraction, settings.seed))
+    train_idx, test_idx = split_indices(dataset.n_rows, settings.train_fraction, settings.seed)
 
     loss_map = pointwise_loss_map(dataset.subset(train_idx), model)
     w0 = np.zeros(loss_map.dim)
@@ -266,8 +267,8 @@ def run_abalone(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
     return report, predictions
 
 
-def synthetic_credit(n: int = 900, seed: int = 7) -> Dataset:
-    """Credit-style binary classification stand-in.
+def synthetic_credit(seed: int = 7) -> Dataset:
+    """Credit-style binary classification stand-in with ``CREDIT_N`` rows.
 
     Two mostly separated classes with bounded feature noise (tail-risk
     training is only sensible when the hardest examples are not hopeless
@@ -275,6 +276,7 @@ def synthetic_credit(n: int = 900, seed: int = 7) -> Dataset:
     induces a genuine label shift, and a constant column so that the
     imbalance can act on the intercept.
     """
+    n = CREDIT_N
     rng = np.random.default_rng(seed)
     n_pos = int(round(0.56 * n))
     dim = 6
@@ -308,7 +310,7 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
     predictions: list[dict] = []
     for k in range(CREDIT_SEEDS):
         split_seed = seed + k
-        train_idx, test_idx = split_indices(dataset.n_rows, SplitSpec(0.8, split_seed))
+        train_idx, test_idx = split_indices(dataset.n_rows, 0.8, split_seed)
         train = dataset.subset(train_idx)
         test = dataset.subset(test_idx)
         shifted = downsample_majority(train, CREDIT_DOWNSAMPLE_RATIO, seed=split_seed)
@@ -375,27 +377,27 @@ CONVERGENCE_REPLICATES = 50
 CONVERGENCE_REFERENCE = 1_000_000
 
 
-def run_convergence(seed: int = 0,
-                    sizes: tuple[int, ...] = CONVERGENCE_SIZES,
-                    replicates: int = CONVERGENCE_REPLICATES,
-                    reference_size: int = CONVERGENCE_REFERENCE) -> tuple[dict, list[dict]]:
+def run_convergence(seed: int = 0) -> tuple[dict, list[dict]]:
     """Monte-Carlo check that the empirical tail risk stabilizes with n.
 
-    At a fixed parameter vector, compare the tail risk at level
-    ``CONVERGENCE_P`` of n fresh losses with a large-sample reference; the
-    median absolute gap over the replicates shrinks as n grows.
+    At the zero parameter vector, compare the tail risk at level
+    ``CONVERGENCE_P`` of n fresh losses with a large-sample reference of
+    ``CONVERGENCE_REFERENCE`` losses; the median absolute gap over the
+    ``CONVERGENCE_REPLICATES`` replicates shrinks as n runs through
+    ``CONVERGENCE_SIZES``.
     """
+    sizes, replicates = CONVERGENCE_SIZES, CONVERGENCE_REPLICATES
     w_bar = np.array(TOY_W_BAR)
-    w_eval = np.zeros(3)
 
     def loss_sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        # squared loss of the zero model, whose prediction is exactly +0.0
         x = rng.uniform(-1.0, 3.0, size)
         y = w_bar[0] + w_bar[1] * x + w_bar[2] * x**2 + rng.normal(0.0, 1.0, size)
-        z = w_eval[0] + w_eval[1] * x + w_eval[2] * x**2
-        return 0.5 * (y - z) ** 2
+        return 0.5 * y**2
 
     children = np.random.SeedSequence(seed).spawn(1 + len(sizes) * replicates)
-    reference = superquantile(loss_sample(np.random.default_rng(children[0]), reference_size), CONVERGENCE_P)
+    reference_sample = loss_sample(np.random.default_rng(children[0]), CONVERGENCE_REFERENCE)
+    reference = superquantile(reference_sample, CONVERGENCE_P)
 
     rows: list[dict] = []
     medians = []
@@ -411,7 +413,7 @@ def run_convergence(seed: int = 0,
         "experiment": "convergence",
         "seed": seed,
         "config": {"p": CONVERGENCE_P, "sizes": list(sizes), "replicates": replicates,
-                   "reference_size": reference_size},
+                   "reference_size": CONVERGENCE_REFERENCE},
         "reference_value": float(reference),
         "median_gaps": medians,
         "strictly_decreasing": bool(all(a > b for a, b in zip(medians, medians[1:]))),
@@ -433,7 +435,7 @@ def run_sweep(values, p: float, kind: str = "euclidean",
     plain mean with near-uniform weights, at vanishing strength it is within
     the divergence bound of the exact tail risk.
     """
-    u = np.asarray(values, dtype=float).reshape(-1)
+    u = as_sample(values)
     n = u.size
     if grid is None:
         grid = default_nu_grid(u)

@@ -28,12 +28,6 @@ __all__ = [
 ]
 
 
-def _row_index(indices) -> np.ndarray:
-    # a boolean mask stays a mask; anything else (an empty list too) is positions
-    idx = np.asarray(indices)
-    return idx if idx.dtype == bool else np.asarray(idx, dtype=int)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus targets (real for regression, -1/+1 for classification)."""
@@ -61,7 +55,9 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """Rows at integer positions or where a boolean mask is true."""
-        idx = _row_index(indices)
+        idx = np.asarray(indices)
+        if idx.dtype != bool:  # positions, an empty list too
+            idx = idx.astype(int, copy=False)
         return Dataset(self.features[idx], self.targets[idx])
 
 
@@ -113,10 +109,6 @@ class GroupStructure:
     @property
     def n_groups(self) -> int:
         return self.alpha.shape[0]
-
-    def subset(self, indices) -> "GroupStructure":
-        """Rows at integer positions or where a boolean mask is true."""
-        return GroupStructure(self.assignment[_row_index(indices)], self.alpha)
 
 
 def design_matrix(dataset: Dataset, model: ModelSpec) -> np.ndarray:

@@ -173,6 +173,13 @@ class TestFit:
         assert run(["fit", "--data", regression_csv, "--reg", "-1", "--out", str(tmp_path / "o")]) == 2
         assert "reg must be nonnegative" in capsys.readouterr().err
 
+    def test_split_outside_open_interval_exits_2(self, regression_csv, tmp_path, capsys):
+        assert run(["fit", "--data", regression_csv, "--split", "1.5", "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "train_fraction must be in (0, 1)" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_bad_model_flag(self, regression_csv, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["fit", "--data", regression_csv, "--model", "tree", "--out", str(tmp_path / "o")])
@@ -266,12 +273,9 @@ class TestExperiment:
 
     def test_convergence_runs(self, tmp_path):
         out = tmp_path / "conv"
-        # shrink the study via the library entry; the CLI default is the full one
-        from sqopt.experiments import run_convergence
-        report, rows = run_convergence(seed=0, sizes=(100, 1000), replicates=5,
-                                       reference_size=10_000)
-        assert len(rows) == 10
-        assert len(report["median_gaps"]) == 2
+        assert run(["experiment", "convergence", "--seed", "0", "--out", str(out)]) == 0
+        assert len(read_csv(out / "predictions.csv")) == 200
+        assert len(read_json(out / "report.json")["median_gaps"]) == 4
 
 
 # the columns whose cells are labels, and their labels; every other cell must be a plain number
@@ -364,4 +368,67 @@ class TestSweep:
         assert run(["sweep-nu", "--data", regression_csv, "--weights", str(weights), "--nu", "0.5",
                     "--p", "0.9", "--out", str(tmp_path / "s")]) == 2
         assert "only with --fit-first" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+class TestAbbreviatedOptionsRejected:
+    """Every command takes its long options spelled in full only."""
+
+    def test_eval(self, capsys):
+        assert exit_code(["eval", "--val", "1,2", "--p", "0.5"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_fit(self, regression_csv, tmp_path):
+        assert exit_code(["fit", "--dat", regression_csv, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_experiment(self, tmp_path):
+        assert exit_code(["experiment", "toyreg", "--se", "1", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--w", "--fit"])
+    def test_sweep_nu(self, flag, regression_csv, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("0.5\n", encoding="utf-8")  # the one parameter of the linear model
+        point = [flag, str(weights)] if flag == "--w" else [flag]
+        assert exit_code(["sweep-nu", "--data", regression_csv, *point, "--p", "0.9",
+                          "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_top_level(self, capsys):
+        assert exit_code(["--he"]) == 2
+
+    def test_full_spellings_still_run(self, tmp_path):
+        values = tmp_path / "vals.csv"
+        values.write_text("0.1,0.9\n2.3,0.4\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["sweep-nu", "--input", str(values), "--p", "0.5", "--smoothing", "kl",
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+
+
+class TestEmptyOrNonFiniteSample:
+    """A bad sample exits 2 with the library's message before any output."""
+
+    @pytest.mark.parametrize("values, message", [(",", "empty sample"),
+                                                 ("1,inf", "sample values must be finite")])
+    def test_eval(self, values, message, capsys):
+        assert run(["eval", "--values", values, "--p", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_eval_input_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n", encoding="utf-8")
+        assert run(["eval", "--input", str(path), "--p", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty sample" in captured.err
+
+    def test_sweep_nu(self, tmp_path, capsys):
+        assert run(["sweep-nu", "--values", "", "--p", "0.5", "--out", str(tmp_path / "s")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty sample" in captured.err
         assert not (tmp_path / "s").exists()

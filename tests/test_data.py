@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from sqopt import (
-    SplitSpec,
     SyntheticSpec,
     downsample_majority,
     generate_quadratic,
     load_csv,
     split_indices,
-    train_test_split,
 )
 
 
@@ -62,26 +60,22 @@ class TestSyntheticGenerator:
 
 class TestSplits:
     def test_partition(self):
-        train, test = split_indices(103, SplitSpec(0.8, seed=0))
+        train, test = split_indices(103, 0.8, 0)
         assert train.size + test.size == 103
         assert np.intersect1d(train, test).size == 0
         assert train.size == round(0.8 * 103)
 
     def test_deterministic(self):
-        a = split_indices(50, SplitSpec(0.8, seed=5))
-        b = split_indices(50, SplitSpec(0.8, seed=5))
+        a = split_indices(50, 0.8, 5)
+        b = split_indices(50, 0.8, 5)
         assert np.array_equal(a[0], b[0])
-        c = split_indices(50, SplitSpec(0.8, seed=6))
+        c = split_indices(50, 0.8, 6)
         assert not np.array_equal(a[0], c[0])
 
-    def test_train_test_split_rows(self):
-        rng = np.random.default_rng(0)
-        from sqopt import Dataset
-        ds = Dataset(rng.normal(0, 1, (20, 2)), rng.normal(0, 1, 20))
-        train, test = train_test_split(ds, SplitSpec(0.75, seed=1))
-        assert train.n_rows + test.n_rows == 20
-        merged = np.sort(np.concatenate([train.targets, test.targets]))
-        assert np.array_equal(merged, np.sort(ds.targets))
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5])
+    def test_fraction_outside_open_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)"):
+            split_indices(10, fraction, 0)
 
 
 def write(tmp_path, name, text):

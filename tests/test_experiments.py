@@ -5,6 +5,9 @@ import pytest
 
 from sqopt import tail_cap
 from sqopt.experiments import (
+    CONVERGENCE_REPLICATES,
+    CONVERGENCE_SIZES,
+    CREDIT_N,
     default_nu_grid,
     run_convergence,
     run_federated,
@@ -81,16 +84,16 @@ class TestFederated:
 
 class TestConvergence:
     def test_medians_recomputable_from_rows(self):
-        report, rows = run_convergence(seed=1, sizes=(100, 1000), replicates=9,
-                                       reference_size=20_000)
-        for i, size in enumerate((100, 1000)):
+        report, rows = run_convergence(seed=1)
+        assert report["config"]["sizes"] == list(CONVERGENCE_SIZES)
+        for i, size in enumerate(CONVERGENCE_SIZES):
             gaps = [r["gap"] for r in rows if r["n"] == size]
-            assert len(gaps) == 9
+            assert len(gaps) == CONVERGENCE_REPLICATES
             assert report["median_gaps"][i] == float(np.median(gaps))
 
     def test_deterministic(self):
-        a, _ = run_convergence(seed=2, sizes=(100,), replicates=3, reference_size=5_000)
-        b, _ = run_convergence(seed=2, sizes=(100,), replicates=3, reference_size=5_000)
+        a = run_convergence(seed=2)
+        b = run_convergence(seed=2)
         assert a == b
 
 
@@ -121,6 +124,10 @@ class TestSweep:
         assert spreads[0] > spreads[1] > spreads[2]
         assert rows[-1]["weight_sup_dist_uniform"] < rows[0]["weight_sup_dist_uniform"] + 1e-12
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="^empty sample$"):
+            run_sweep([], 0.5)
+
     def test_default_grid_brackets_scale(self):
         u = np.array([0.0, 10.0])
         grid = default_nu_grid(u)
@@ -130,11 +137,11 @@ class TestSweep:
 
 class TestSyntheticCredit:
     def test_shape_and_classes(self):
-        ds = synthetic_credit(n=300, seed=0)
-        assert ds.features.shape == (300, 7)
+        ds = synthetic_credit(seed=0)
+        assert ds.features.shape == (CREDIT_N, 7) == (900, 7)
         values, counts = np.unique(ds.targets, return_counts=True)
         np.testing.assert_allclose(values, [-1.0, 1.0])
-        assert counts[1] == round(0.56 * 300)
+        assert counts[1] == round(0.56 * CREDIT_N)
 
     def test_deterministic(self):
         a = synthetic_credit(seed=3)

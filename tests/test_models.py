@@ -246,12 +246,6 @@ class TestGroupStructure:
         groups = GroupStructure(np.array([0, 1, 2, 0]))
         np.testing.assert_allclose(groups.alpha, [1 / 3] * 3)
 
-    def test_subset_boolean_mask(self):
-        groups = GroupStructure(np.array([2, 1, 0, 0, 1]))
-        sub = groups.subset(np.array([True, False, True, False, True]))
-        np.testing.assert_array_equal(sub.assignment, [2, 0, 1])
-        np.testing.assert_array_equal(groups.subset([4, 0, 2]).assignment, [1, 2, 0])
-
 
 class TestGroupedLossMap:
     def test_matches_partitioned_average(self):
