@@ -68,8 +68,11 @@ def quantile(values, p: float) -> float:
     statistic with ``k = ceil(n p)`` (at least 1).  Selected by
     quickselect-style partitioning, not a full sort.
     """
-    u = as_sample(values)
-    p = check_tail(p)
+    return _quantile(as_sample(values), check_tail(p))
+
+
+def _quantile(u: np.ndarray, p: float) -> float:
+    """:func:`quantile` of a checked sample at a checked tail probability."""
     n = u.size
     k = max(math.ceil(n * p), 1)
     # fix the off-by-one that floating-point rounding of n*p can introduce,
@@ -102,7 +105,7 @@ def tail_split(values, p: float) -> TailSplit:
     u = as_sample(values)
     p = check_tail(p)
     n = u.size
-    q = quantile(u, p)
+    q = _quantile(u, p)
     above = np.flatnonzero(u > q)
     equal = np.flatnonzero(u == q)
     gap = (n - above.size) / n - p
@@ -152,6 +155,6 @@ def superquantile_variational(values, p: float) -> tuple[float, float]:
     u = as_sample(values)
     p = check_tail(p)
     n = u.size
-    eta = quantile(u, p)
+    eta = _quantile(u, p)
     value = eta + float(np.maximum(u - eta, 0.0).sum()) / (n * (1.0 - p))
     return float(value), eta

@@ -15,9 +15,17 @@ convex function of a single scalar shift with a monotone derivative.
 with one safeguarded Newton iteration: it centres the sample at its
 p-quantile, brackets the root in closed form without sorting, and takes the
 slope and the curvature from one O(n) pass per step, bisecting the bracket
-when a step leaves it or stalls.  The smoothed value comes from the weights
-of the last pass.  :func:`bisect_dual` is the independent bisection-only
-reference.
+when a step leaves it or stalls.  The passes of one solve write into work
+arrays allocated once for that solve, and the smoothed value comes from the
+weights and sums of the last pass.  :func:`bisect_dual` is the independent
+bisection-only reference.
+
+The smoothed oracle (``sqopt.oracles.smoothed_objective``) solves one dual
+per call on losses that move little from call to call, so it warm-starts
+the iteration: it passes the previous solution's threshold, measured from
+that sample's p-quantile, and the solver takes it when it lies strictly
+inside the new bracket.  Bracket, safeguards and stopping rule are those of
+a cold solve, so a warm-started solution agrees with a cold one to rounding.
 
 The module also hosts the equivalence toolkit between this smoothing and the
 classical smoothing of the positive part: ``smoothed_positive_part`` (one
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr, ndtri, xlogy
 
-from .core import as_sample, check_tail, quantile, tail_cap
+from .core import _quantile, as_sample, check_tail, tail_cap
 
 __all__ = [
     "EUCLIDEAN",
@@ -97,21 +105,44 @@ class DualSolution:
     value: float
 
 
+def _pass_buffers(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays of one :func:`_weights_and_curvature` pass: two float, one bool."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
 def _weights_and_curvature(s: np.ndarray, kind: str, nu: float, n: int, p: float,
-                           cap: float) -> tuple[np.ndarray, np.ndarray]:
+                           cap: float, out: tuple[np.ndarray, ...] | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal weights at the shifted values ``s = u - eta`` and their curvature shares.
 
     The second derivative of the dual function is ``curvature.sum() / nu``:
     a weight strictly inside ``(0, cap)`` contributes 1 (``euclidean``) or
-    its own value (``kl``), a weight at a bound contributes nothing.
+    its own value (``kl``), a weight at a bound contributes nothing.  With
+    ``out`` from :func:`_pass_buffers` the pass allocates nothing and
+    returns views of those buffers; each operation is the one it would be
+    without them, so the results are the same bits.
     """
+    weights, scratch, flags = out if out is not None else _pass_buffers(s.shape)
     if kind == EUCLIDEAN:
-        t = np.clip(s / nu + 1.0 / n, 0.0, cap)
-        return t, (t > 0.0) & (t < cap)
+        np.divide(s, nu, out=weights)
+        np.add(weights, 1.0 / n, out=weights)
+        np.clip(weights, 0.0, cap, out=weights)
+        np.greater(weights, 0.0, out=flags)
+        # a weight below the cap counts where it is also above zero
+        np.less(weights, cap, out=flags, where=flags)
+        return weights, flags
     hi = nu * (1.0 - math.log1p(-p))
-    saturated = s >= hi
-    t = np.exp(np.minimum(s, hi) / nu - 1.0) / n
-    return np.where(saturated, cap, np.minimum(t, cap)), np.where(saturated, 0.0, t)
+    np.greater_equal(s, hi, out=flags)
+    t = np.minimum(s, hi, out=scratch)
+    np.divide(t, nu, out=t)
+    np.subtract(t, 1.0, out=t)
+    np.exp(t, out=t)
+    np.divide(t, n, out=t)
+    np.minimum(t, cap, out=weights)
+    np.copyto(weights, cap, where=flags)
+    # the curvature share is the unsaturated weight, zero at saturation
+    np.copyto(t, 0.0, where=flags)
+    return weights, t
 
 
 def _conjugate_values(s: np.ndarray, weights: np.ndarray, curvature: np.ndarray, kind: str,
@@ -216,20 +247,85 @@ def _newton_step(slope: float, curvature: float, kind: str, nu: float) -> float:
 
 def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray,
                  curvature: np.ndarray, kind: str, nu: float, n: int, p: float,
-                 cap: float) -> DualSolution:
-    """Threshold ``shift + eta``, weights and value from a solve's last pass at ``s = v - eta``."""
+                 cap: float, sums: tuple[float, float] | None = None) -> DualSolution:
+    """Threshold ``shift + eta``, weights and value from a solve's last pass at ``s = v - eta``.
+
+    ``sums`` are that pass's ``weights.sum()`` and ``curvature.sum()`` when
+    the caller already has them.
+    """
     value = shift + (eta + float(_conjugate_values(s, weights, curvature, kind, nu, n, p, cap).sum()))
     # the quantization of eta floors the achievable |sum - 1| at
     # curvature * ulp(eta); spread that residual over the coordinates in
     # proportion to their curvature, which is how an infinitesimal eta
     # shift would act
-    resid = float(weights.sum()) - 1.0
-    total = float(curvature.sum())
+    total_weight, total = sums if sums is not None else (float(weights.sum()), float(curvature.sum()))
+    resid = total_weight - 1.0
     if resid != 0.0 and abs(resid) < 1e-8 and total > 0.0:
         adjusted = weights - (resid / total) * curvature
         if adjusted.min() >= 0.0 and adjusted.max() <= cap:
             weights = adjusted
     return DualSolution(threshold=float(shift + eta), weights=weights, value=value)
+
+
+def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
+                 start: float | None = None) -> tuple[DualSolution, float]:
+    """:func:`solve_dual_1d` on a checked sample and tail, from an optional start.
+
+    ``start`` is a threshold measured from the sample's p-quantile; the
+    second result is the solution's threshold measured the same way, the
+    start for a solve on a nearby sample.  Measured from the quantile, the
+    threshold follows the losses when they move as a whole.  The start is
+    used only when it lies strictly inside the bracket of the sample at
+    hand; otherwise (``None``, NaN, infinite, or outside) the iteration
+    starts cold, exactly as :func:`solve_dual_1d` does.
+    """
+    kind, nu = spec.kind, spec.nu
+    n = u.size
+    cap = tail_cap(n, p)
+    shift = _quantile(u, p)
+    v = u - shift
+    # a weight is 1/n at v - eta = s_uniform and at the cap from v - eta = s_cap on
+    if kind == EUCLIDEAN:
+        s_uniform, s_cap = 0.0, (nu / n) * p / (1.0 - p)
+    else:
+        s_uniform, s_cap = nu, nu * (1.0 - math.log1p(-p))
+    # at lo the p-quantile and every larger value, more than n(1-p) of them,
+    # sit at the cap; at hi every weight is at most 1/n
+    lo, hi = -s_cap, float(v.max()) - s_uniform
+    eta = -s_uniform
+    if start is not None and lo < start < hi:
+        eta = start
+    tol = _slope_eps(p)
+    previous = math.inf
+    s = np.empty(n)
+    buffers = _pass_buffers(n)
+
+    def weights_at(eta):
+        np.subtract(v, eta, out=s)
+        weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap, buffers)
+        return weights, curvature, (float(weights.sum()), float(curvature.sum()))
+
+    for _ in range(_NEWTON_MAX_ITER):
+        weights, curvature, sums = weights_at(eta)
+        slope = 1.0 - sums[0]
+        if abs(slope) <= tol:
+            break
+        if slope < 0.0:
+            lo = eta
+        else:
+            hi = eta
+        step = eta + _newton_step(slope, sums[1], kind, nu)
+        if step == eta:
+            break
+        if not lo < step < hi or abs(slope) > 0.5 * previous:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        previous = abs(slope)
+        eta = step
+    else:
+        weights, curvature, sums = weights_at(eta)
+    return _solution_at(shift, eta, s, weights, curvature, kind, nu, n, p, cap, sums), eta
 
 
 def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
@@ -245,47 +341,7 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
     the Newton step when that step leaves the bracket or has no root, or
     when the derivative did not halve since the previous pass.
     """
-    u = as_sample(values)
-    p = check_tail(p)
-    kind, nu = spec.kind, spec.nu
-    n = u.size
-    cap = tail_cap(n, p)
-    shift = quantile(u, p)
-    v = u - shift
-    # a weight is 1/n at v - eta = s_uniform and at the cap from v - eta = s_cap on
-    if kind == EUCLIDEAN:
-        s_uniform, s_cap = 0.0, (nu / n) * p / (1.0 - p)
-    else:
-        s_uniform, s_cap = nu, nu * (1.0 - math.log1p(-p))
-    # at lo the p-quantile and every larger value, more than n(1-p) of them,
-    # sit at the cap; at hi every weight is at most 1/n
-    lo, hi = -s_cap, float(v.max()) - s_uniform
-    eta = -s_uniform
-    tol = _slope_eps(p)
-    previous = math.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        s = v - eta
-        weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap)
-        slope = 1.0 - float(weights.sum())
-        if abs(slope) <= tol:
-            break
-        if slope < 0.0:
-            lo = eta
-        else:
-            hi = eta
-        step = eta + _newton_step(slope, float(curvature.sum()), kind, nu)
-        if step == eta:
-            break
-        if not lo < step < hi or abs(slope) > 0.5 * previous:
-            step = 0.5 * (lo + hi)
-            if not lo < step < hi:
-                break
-        previous = abs(slope)
-        eta = step
-    else:
-        s = v - eta
-        weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap)
-    return _solution_at(shift, eta, s, weights, curvature, kind, nu, n, p, cap)
+    return _newton_dual(as_sample(values), spec, check_tail(p))[0]
 
 
 def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:

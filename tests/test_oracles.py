@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import sqopt.models
+import sqopt.oracles
+import sqopt.smoothing
 from sqopt import (
     Dataset,
     GroupStructure,
@@ -22,7 +24,7 @@ from sqopt import (
 )
 from sqopt.oracles import erm_objective, finite_difference_grad, smoothed_objective
 from sqopt.optim import LINE_SEARCH_FAILURE, OptimResult, minimize
-from sqopt.smoothing import divergence_max
+from sqopt.smoothing import divergence_max, solve_dual_1d
 
 from reference import finite_difference
 
@@ -318,6 +320,83 @@ class TestNonFiniteLosses:
         assert isinstance(result, OptimResult)
         assert result.status == LINE_SEARCH_FAILURE
         assert np.isfinite(result.value)
+
+
+def tail_regression_map(seed, n, d):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (n, d))
+    y = x @ rng.normal(0.0, 1.0, d) + (0.5 + np.abs(x[:, 0])) * rng.normal(0.0, 1.0, n)
+    return pointwise_loss_map(Dataset(x, y), ModelSpec()), rng
+
+
+class TestWarmStartedClosure:
+    """The smoothed closure carries its last dual threshold from call to call."""
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 0.1), ("kl", 0.05)])
+    def test_same_points_replay_bit_for_bit(self, kind, nu):
+        lm, rng = tail_regression_map(50, 400, 4)
+        points = np.cumsum(rng.normal(0.0, 0.3, (12, 4)), axis=0)
+        first = smoothed_objective(lm, 0.9, SmoothingSpec(kind, nu), 1.0)
+        second = smoothed_objective(lm, 0.9, SmoothingSpec(kind, nu), 1.0)
+        for w in points:
+            value_a, grad_a = first(w)
+            value_b, grad_b = second(w)
+            assert value_a == value_b
+            assert grad_a.tobytes() == grad_b.tobytes()
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 0.1), ("kl", 0.05)])
+    def test_history_changes_only_rounding(self, kind, nu):
+        lm, rng = tail_regression_map(51, 400, 4)
+        w = rng.normal(0.0, 1.0, 4)
+        oracle = smoothed_objective(lm, 0.8, SmoothingSpec(kind, nu))
+        oracle(w + 40.0 * rng.normal(0.0, 1.0, 4))
+        value, grad = oracle(w)
+        fresh_value, fresh_grad = smoothed_objective(lm, 0.8, SmoothingSpec(kind, nu))(w)
+        assert abs(value - fresh_value) <= 1e-12 * abs(fresh_value)
+        assert np.abs(grad - fresh_grad).max() <= 1e-12 * np.abs(fresh_grad).max()
+
+    @pytest.mark.parametrize("kind", ["euclidean", "kl"])
+    def test_value_grad_is_a_cold_solve(self, kind):
+        # a fresh closure per call: the public solver's bits, whatever came before
+        lm, rng = tail_regression_map(52, 300, 3)
+        spec = SmoothingSpec(kind, 0.2)
+        for w in rng.normal(0.0, 1.0, (4, 3)):
+            sol = solve_dual_1d(lm.eval(w), spec, 0.7)
+            value, grad = smoothed_value_grad(lm, w, 0.7, spec)
+            assert value == sol.value
+            assert np.array_equal(grad, lm.adjoint_apply(w, sol.weights))
+
+
+class TestWarmStartPasses:
+    """A warm-started fit makes fewer weight passes than a cold one and ends in the same place."""
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 0.5), ("kl", 0.02)])
+    def test_fewer_passes_same_fit(self, kind, nu, monkeypatch):
+        lm, _ = tail_regression_map(53, 4000, 5)
+        weights_and_curvature = sqopt.smoothing._weights_and_curvature
+        newton_dual = sqopt.oracles._newton_dual
+        counts = {"passes": 0}
+
+        def counted_pass(*args):
+            counts["passes"] += 1
+            return weights_and_curvature(*args)
+
+        def fit(cold):
+            monkeypatch.setattr(sqopt.smoothing, "_weights_and_curvature", counted_pass)
+            if cold:
+                monkeypatch.setattr(sqopt.oracles, "_newton_dual",
+                                    lambda u, spec, p, start: newton_dual(u, spec, p))
+            counts["passes"] = 0
+            result = minimize(smoothed_objective(lm, 0.9, SmoothingSpec(kind, nu), 1.0), np.zeros(5))
+            monkeypatch.undo()
+            return result, counts["passes"]
+
+        warm, warm_passes = fit(cold=False)
+        cold, cold_passes = fit(cold=True)
+        assert warm.status == cold.status == "converged"
+        assert warm.iterations == cold.iterations
+        assert np.abs(warm.w_star - cold.w_star).max() <= 1e-10
+        assert warm_passes < cold_passes
 
 
 class TestFiniteDifferenceHelper:

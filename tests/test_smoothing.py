@@ -263,6 +263,52 @@ class TestSolverEdgeBattery:
         assert not failures, f"{len(failures)} failures, first: {failures[:3]}"
 
 
+def warm_starts(rng, u, cold):
+    """Newton starts for one sample, measured from its p-quantile.
+
+    The cold solve's own, that one perturbed, the sample's extremes moved 1e3
+    outwards, one about 1e6 away, and the non-finite ones.
+    """
+    return (cold, cold + rng.normal() * (1.0 + 1e-3 * abs(cold)), float(u.max()) + 1e3,
+            float(u.min()) - 1e3, float(rng.choice([-1.0, 1.0]) * 1e6 * rng.uniform(0.5, 2.0)),
+            math.nan, math.inf, -math.inf)
+
+
+class TestWarmStartEdgeBattery:
+    """The oracle's warm-started solve meets the edge battery's criteria from any start."""
+
+    @pytest.mark.parametrize("kind", ["euclidean", "kl"])
+    def test_feasible_and_sandwiched_from_any_start(self, kind):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(28)
+        failures = []
+        solves = 0
+        for family, u, p, nu in edge_instances(np.random.default_rng(27), 1500):
+            spec = SmoothingSpec(kind, nu)
+            exact = superquantile_integral(u, p)
+            dmax = divergence_max(spec, u.size, p)
+            slack = 1e-12 * max(1.0, abs(exact)) + 4.0 * eps * nu * max(1.0, dmax)
+            for start in warm_starts(rng, u, smoothing_module._newton_dual(u, spec, p)[1]):
+                sol, _ = smoothing_module._newton_dual(u, spec, p, start)
+                solves += 1
+                ok = (sol.weights.min() >= 0.0 and sol.weights.max() <= tail_cap(u.size, p)
+                      and abs(sol.weights.sum() - 1.0) <= 1e-7
+                      and exact - nu * dmax - slack <= sol.value <= exact + slack)
+                if not ok:
+                    failures.append((family, u.size, p, nu, start, float(sol.weights.sum()) - 1.0))
+        assert solves == 1500 * 8
+        assert not failures, f"{len(failures)} failures, first: {failures[:3]}"
+
+    def test_start_outside_bracket_is_cold(self):
+        u = np.random.default_rng(29).normal(0.0, 1.0, 300)
+        spec = SmoothingSpec("kl", 0.05)
+        cold = solve_dual_1d(u, spec, 0.9)
+        for start in (None, math.nan, math.inf, -math.inf, float(u.max()) + 1e3, float(u.min()) - 1e3):
+            sol, _ = smoothing_module._newton_dual(u, spec, 0.9, start)
+            assert sol.threshold == cold.threshold and sol.value == cold.value
+            assert sol.weights.tobytes() == cold.weights.tobytes()
+
+
 class TestApproximationQuality:
     @pytest.mark.parametrize("kind", ["euclidean", "kl"])
     def test_sandwich_bound(self, kind):
