@@ -39,7 +39,7 @@ from .experiments import (
     synthetic_credit,
 )
 from .models import ModelSpec, pointwise_loss_map
-from .smoothing import SmoothingSpec, smoothed_superquantile
+from .smoothing import _KINDS, SmoothingSpec, smoothed_superquantile
 
 EXPERIMENTS = ("toyreg", "federated", "fairness", "abalone", "credit", "convergence")
 # the studies that read a dataset, and the file each looks for in SQOPT_DATA_DIR
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--values", help="comma-separated loss values")
     p_eval.add_argument("--p", type=_tail_level, required=True)
     p_eval.add_argument("--nu", type=float, default=None, help="also report the smoothed value")
-    p_eval.add_argument("--smoothing", choices=("euclidean", "kl"), default=None,
+    p_eval.add_argument("--smoothing", choices=tuple(_KINDS), default=None,
                         help="divergence of the smoothed value, needs --nu (default: euclidean)")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model", type=_parse_model, default=("linear", 1))
     p_fit.add_argument("--p", type=_tail_level, default=0.9)
     p_fit.add_argument("--nu", type=float, default=0.1)
-    p_fit.add_argument("--smoothing", choices=("euclidean", "kl"), default="euclidean")
+    p_fit.add_argument("--smoothing", choices=tuple(_KINDS), default="euclidean")
     p_fit.add_argument("--reg", type=float, default=0.0)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--split", type=float, default=0.8, help="train fraction")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p", type=_tail_level, required=True)
     p_sweep.add_argument("--nu", type=float, default=None,
                          help="strength used by --fit-first (default: 0.1)")
-    p_sweep.add_argument("--smoothing", choices=("euclidean", "kl"), default="euclidean")
+    p_sweep.add_argument("--smoothing", choices=tuple(_KINDS), default="euclidean")
     p_sweep.add_argument("--grid", type=_float_list, default=None,
                          help="comma-separated nu grid (default: log-spaced around the data scale)")
     p_sweep.add_argument("--seed", type=int, default=0, help="read by --fit-first only")

@@ -11,7 +11,7 @@ gradient is a single weighted adjoint application.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,23 +69,13 @@ class SubdifferentialDescription:
     """
 
     fixed_part: np.ndarray
-    extreme_gradients: list[np.ndarray] = field(default_factory=list)
-    hull_weight: float = 0.0
-    selected: np.ndarray = None
+    extreme_gradients: list[np.ndarray]
+    hull_weight: float
+    selected: np.ndarray
 
     @property
     def is_singleton(self) -> bool:
         return len(self.extreme_gradients) <= 1
-
-    def element(self, coefficients) -> np.ndarray:
-        """Subgradient for an arbitrary convex combination of the extremes."""
-        coeffs = np.asarray(coefficients, dtype=float)
-        if coeffs.shape != (len(self.extreme_gradients),):
-            raise ValueError("one coefficient per extreme gradient expected")
-        if np.any(coeffs < 0) or not np.isclose(coeffs.sum(), 1.0):
-            raise ValueError("coefficients must be a convex combination")
-        mix = sum(c * g for c, g in zip(coeffs, self.extreme_gradients))
-        return self.fixed_part + self.hull_weight * mix
 
 
 def _finite_losses(loss_map: LossMap, w: np.ndarray) -> np.ndarray | None:

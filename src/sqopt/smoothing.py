@@ -9,6 +9,18 @@ Two divergences are supported:
 * ``euclidean`` -- ``D(q) = ||q - uniform||^2 / 2``,
 * ``kl``        -- ``D(q) = sum(q_i log(n q_i))`` (Kullback-Leibler to uniform).
 
+Each divergence is one private class, ``_Euclidean`` and ``_KL``, and the
+registry ``_KINDS`` maps each kind name to its class; ``SmoothingSpec`` and
+the command line's ``--smoothing`` read the names from it.  A record of the
+class is built once per call from ``(nu, n, p)``, which it checks, and
+defines everything the kind changes: the cap, the bracket ends
+``s_uniform`` and ``s_cap``, the pass that gives the weights and their
+curvature, the conjugate values from that pass, the Newton step and the
+divergence itself (see ``_Divergence``).  The solver, the conjugates and the
+dual helpers take a record and never branch on the kind.
+``smoothed_positive_part`` keeps its own closed forms and ``bisect_dual`` its
+own bracket, so that each checks the records independently.
+
 For a separable divergence the dual of the regularized problem is a smooth
 convex function of a single scalar shift with a monotone derivative.
 :func:`solve_dual_1d` finds the root of that derivative for both divergences
@@ -46,8 +58,6 @@ from scipy.special import expit, ndtr, ndtri, xlogy
 from .core import _quantile, as_sample, check_tail, tail_cap
 
 __all__ = [
-    "EUCLIDEAN",
-    "KL",
     "SmoothingSpec",
     "DualSolution",
     "scalar_conjugate",
@@ -67,9 +77,6 @@ __all__ = [
     "SmoothingDensity",
 ]
 
-EUCLIDEAN = "euclidean"
-KL = "kl"
-
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 _NEWTON_MAX_ITER = 100
@@ -85,8 +92,8 @@ class SmoothingSpec:
     nu: float
 
     def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, KL):
-            raise ValueError(f"unknown smoothing kind {self.kind!r}, expected 'euclidean' or 'kl'")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown smoothing kind {self.kind!r}, expected {' or '.join(map(repr, _KINDS))}")
         if not (math.isfinite(self.nu) and self.nu > 0.0):
             raise ValueError(f"smoothing parameter nu must be positive, got {self.nu}")
 
@@ -106,53 +113,115 @@ class DualSolution:
 
 
 def _pass_buffers(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays of one :func:`_weights_and_curvature` pass: two float, one bool."""
+    """Work arrays of one ``weights_and_curvature`` pass: two float, one bool."""
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
-def _weights_and_curvature(s: np.ndarray, kind: str, nu: float, n: int, p: float,
-                           cap: float, out: tuple[np.ndarray, ...] | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal weights at the shifted values ``s = u - eta`` and their curvature shares.
+def _check_count(n) -> None:
+    """Reject a sample size that is not an integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"sample size n must be an integer >= 1, got {n!r}")
 
-    The second derivative of the dual function is ``curvature.sum() / nu``:
-    a weight strictly inside ``(0, cap)`` contributes 1 (``euclidean``) or
-    its own value (``kl``), a weight at a bound contributes nothing.  With
-    ``out`` from :func:`_pass_buffers` the pass allocates nothing and
-    returns views of those buffers; each operation is the one it would be
-    without them, so the results are the same bits.
+
+class _Divergence:
+    """One smoothing kind at fixed ``(nu, n, p)``; the subclasses are the kinds.
+
+    A subclass sets the bracket ends ``s_uniform`` and ``s_cap``: a weight
+    is ``1/n`` at the shifted value ``s = u - eta = s_uniform`` and at the
+    cap from ``s = s_cap`` on.  It defines four methods:
+
+    * ``weights_and_curvature(s, out=None)``: the optimal weights at ``s``
+      and their curvature shares, whose sum over ``nu`` is the second
+      derivative of the dual function (a weight at a bound contributes
+      nothing).  With ``out`` from :func:`_pass_buffers` the pass allocates
+      nothing and returns views of those buffers; each operation is the one
+      it would be without them, so the results are the same bits.
+    * ``values(s, weights, curvature)``: the conjugate values at ``s`` from
+      that pass.
+    * ``step(slope, curvature)``: the Newton step on the dual derivative,
+      infinite where the model has no root.
+    * ``divergence(q)``: ``D(q)``.
     """
-    weights, scratch, flags = out if out is not None else _pass_buffers(s.shape)
-    if kind == EUCLIDEAN:
-        np.divide(s, nu, out=weights)
-        np.add(weights, 1.0 / n, out=weights)
-        np.clip(weights, 0.0, cap, out=weights)
+
+    def __init__(self, nu: float, n: int, p: float):
+        _check_count(n)
+        self.nu, self.n, self.p = nu, n, check_tail(p)
+        self.cap = tail_cap(n, self.p)
+
+
+class _Euclidean(_Divergence):
+    """``D(q) = ||q - uniform||^2 / 2``: a weight is ``1/n + s/nu`` clipped to ``[0, cap]``."""
+
+    def __init__(self, nu: float, n: int, p: float):
+        super().__init__(nu, n, p)
+        self.s_uniform, self.s_cap = 0.0, (nu / n) * self.p / (1.0 - self.p)
+
+    def weights_and_curvature(self, s: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """Weights at ``s``; a weight strictly inside ``(0, cap)`` has curvature share 1."""
+        weights, _, flags = out if out is not None else _pass_buffers(s.shape)
+        np.divide(s, self.nu, out=weights)
+        np.add(weights, 1.0 / self.n, out=weights)
+        np.clip(weights, 0.0, self.cap, out=weights)
         np.greater(weights, 0.0, out=flags)
         # a weight below the cap counts where it is also above zero
-        np.less(weights, cap, out=flags, where=flags)
+        np.less(weights, self.cap, out=flags, where=flags)
         return weights, flags
-    hi = nu * (1.0 - math.log1p(-p))
-    np.greater_equal(s, hi, out=flags)
-    t = np.minimum(s, hi, out=scratch)
-    np.divide(t, nu, out=t)
-    np.subtract(t, 1.0, out=t)
-    np.exp(t, out=t)
-    np.divide(t, n, out=t)
-    np.minimum(t, cap, out=weights)
-    np.copyto(weights, cap, where=flags)
-    # the curvature share is the unsaturated weight, zero at saturation
-    np.copyto(t, 0.0, where=flags)
-    return weights, t
+
+    def values(self, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+        return s * weights - 0.5 * self.nu * (weights - 1.0 / self.n) ** 2
+
+    def step(self, slope: float, curvature: float) -> float:
+        """Newton step in ``eta``, in which the free weights are linear."""
+        return -self.nu * slope / curvature if curvature > 0.0 else math.copysign(math.inf, -slope)
+
+    def divergence(self, q: np.ndarray) -> float:
+        return float(0.5 * ((q - 1.0 / self.n) ** 2).sum())
 
 
-def _conjugate_values(s: np.ndarray, weights: np.ndarray, curvature: np.ndarray, kind: str,
-                      nu: float, n: int, p: float, cap: float) -> np.ndarray:
-    """Conjugate values at ``s`` from the output of :func:`_weights_and_curvature` there."""
-    if kind == EUCLIDEAN:
-        return s * weights - 0.5 * nu * (weights - 1.0 / n) ** 2
-    # unsaturated, the KL value is nu * t, the curvature share; saturation is
-    # tested on s, since an underflowed weight has zero curvature too
-    return np.where(s >= nu * (1.0 - math.log1p(-p)), cap * (s + nu * math.log1p(-p)), nu * curvature)
+class _KL(_Divergence):
+    """``D(q) = sum(q_i log(n q_i))``: a weight is ``exp(s/nu - 1)/n`` below ``s_cap``, the cap above."""
+
+    def __init__(self, nu: float, n: int, p: float):
+        super().__init__(nu, n, p)
+        self.s_uniform, self.s_cap = nu, nu * (1.0 - math.log1p(-self.p))
+
+    def weights_and_curvature(self, s: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """Weights at ``s``; an unsaturated weight is its own curvature share."""
+        weights, t, flags = out if out is not None else _pass_buffers(s.shape)
+        np.greater_equal(s, self.s_cap, out=flags)
+        np.minimum(s, self.s_cap, out=t)
+        np.divide(t, self.nu, out=t)
+        np.subtract(t, 1.0, out=t)
+        np.exp(t, out=t)
+        np.divide(t, self.n, out=t)
+        np.minimum(t, self.cap, out=weights)
+        np.copyto(weights, self.cap, where=flags)
+        # the curvature share is the unsaturated weight, zero at saturation
+        np.copyto(t, 0.0, where=flags)
+        return weights, t
+
+    def values(self, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+        # unsaturated, the value is nu * t, the curvature share; saturation is
+        # tested on s, since an underflowed weight has zero curvature too
+        return np.where(s >= self.s_cap, self.cap * (s + self.nu * math.log1p(-self.p)), self.nu * curvature)
+
+    def step(self, slope: float, curvature: float) -> float:
+        """Newton step taken in ``x = exp(-eta / nu)``.
+
+        The free weights are linear in x, where the weights' sum is concave
+        and piecewise linear, so the step lands on the root when no weight
+        reaches the cap on the way, while a step in ``eta`` shrinks an
+        exponential tail only by a factor ``e``.
+        """
+        ratio = slope / curvature if curvature > 0.0 else -math.inf
+        return -self.nu * math.log1p(ratio) if ratio > -1.0 else math.inf
+
+    def divergence(self, q: np.ndarray) -> float:
+        return float(xlogy(q, q * self.n).sum())
+
+
+# the smoothing kinds by name; SmoothingSpec and the command line read the names here
+_KINDS = {"euclidean": _Euclidean, "kl": _KL}
 
 
 def scalar_conjugate(s, spec: SmoothingSpec, n: int, p: float):
@@ -162,11 +231,10 @@ def scalar_conjugate(s, spec: SmoothingSpec, n: int, p: float):
     very negative ``s`` the maximizer is ``t = 0`` and the value flattens at
     ``-nu d(0)`` (zero for ``kl``, ``-nu / (2 n^2)`` for ``euclidean``).
     """
-    p = check_tail(p)
     s_arr = np.asarray(s, dtype=float)
-    cap = tail_cap(n, p)
-    weights, curvature = _weights_and_curvature(s_arr, spec.kind, spec.nu, n, p, cap)
-    out = _conjugate_values(s_arr, weights, curvature, spec.kind, spec.nu, n, p, cap)
+    kind = _KINDS[spec.kind](spec.nu, n, p)
+    weights, curvature = kind.weights_and_curvature(s_arr)
+    out = kind.values(s_arr, weights, curvature)
     return out if s_arr.ndim else float(out)
 
 
@@ -177,9 +245,8 @@ def scalar_conjugate_grad(s, spec: SmoothingSpec, n: int, p: float):
     branch is never exactly zero), ``cap`` above the saturation threshold,
     and the inverse divergence gradient in between.
     """
-    p = check_tail(p)
     s_arr = np.asarray(s, dtype=float)
-    out, _ = _weights_and_curvature(s_arr, spec.kind, spec.nu, n, p, tail_cap(n, p))
+    out, _ = _KINDS[spec.kind](spec.nu, n, p).weights_and_curvature(s_arr)
     return out if s_arr.ndim else float(out)
 
 
@@ -195,12 +262,11 @@ def dual_derivative(eta: float, values, spec: SmoothingSpec, p: float) -> float:
     Non-decreasing in ``eta``; tends to 1 at +inf and to ``-p/(1-p)`` at -inf.
     """
     u = as_sample(values)
-    p = check_tail(p)
-    return _slope(eta, u, spec.kind, spec.nu, u.size, p, tail_cap(u.size, p))
+    return _slope(eta, u, _KINDS[spec.kind](spec.nu, u.size, p))
 
 
-def _slope(eta: float, u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float) -> float:
-    weights, _ = _weights_and_curvature(u - eta, kind, nu, n, p, cap)
+def _slope(eta: float, u: np.ndarray, kind: _Divergence) -> float:
+    weights, _ = kind.weights_and_curvature(u - eta)
     return float(1.0 - weights.sum())
 
 
@@ -214,13 +280,11 @@ def _slope_eps(p: float) -> float:
     return max(1e-12, 16.0 * np.finfo(float).eps / (1.0 - p))
 
 
-def _bisect(u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float,
-            lo: float, hi: float) -> float:
+def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> float:
     """Bisection on the dual derivative, assuming slope(lo) <= 0 <= slope(hi)."""
-    mid = 0.5 * (lo + hi)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        s = _slope(mid, u, kind, nu, n, p, cap)
+        s = _slope(mid, u, kind)
         if abs(s) <= _BISECT_TOL or hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
             break
         if s < 0.0:
@@ -230,30 +294,14 @@ def _bisect(u: np.ndarray, kind: str, nu: float, n: int, p: float, cap: float,
     return mid
 
 
-def _newton_step(slope: float, curvature: float, kind: str, nu: float) -> float:
-    """Newton step on the dual derivative; infinite where the model has no root.
-
-    For ``euclidean`` the free weights are linear in the shift.  For ``kl``
-    they are linear in ``x = exp(-eta / nu)``, where the weights' sum is
-    concave and piecewise linear, so the step is taken in x: it lands on the
-    root when no weight reaches the cap on the way, while a step in ``eta``
-    shrinks an exponential tail only by a factor ``e``.
-    """
-    if kind == EUCLIDEAN:
-        return -nu * slope / curvature if curvature > 0.0 else math.copysign(math.inf, -slope)
-    ratio = slope / curvature if curvature > 0.0 else -math.inf
-    return -nu * math.log1p(ratio) if ratio > -1.0 else math.inf
-
-
-def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray,
-                 curvature: np.ndarray, kind: str, nu: float, n: int, p: float,
-                 cap: float, sums: tuple[float, float] | None = None) -> DualSolution:
+def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray,
+                 kind: _Divergence, sums: tuple[float, float] | None = None) -> DualSolution:
     """Threshold ``shift + eta``, weights and value from a solve's last pass at ``s = v - eta``.
 
     ``sums`` are that pass's ``weights.sum()`` and ``curvature.sum()`` when
     the caller already has them.
     """
-    value = shift + (eta + float(_conjugate_values(s, weights, curvature, kind, nu, n, p, cap).sum()))
+    value = shift + (eta + float(kind.values(s, weights, curvature).sum()))
     # the quantization of eta floors the achievable |sum - 1| at
     # curvature * ulp(eta); spread that residual over the coordinates in
     # proportion to their curvature, which is how an infinitesimal eta
@@ -262,7 +310,7 @@ def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray,
     resid = total_weight - 1.0
     if resid != 0.0 and abs(resid) < 1e-8 and total > 0.0:
         adjusted = weights - (resid / total) * curvature
-        if adjusted.min() >= 0.0 and adjusted.max() <= cap:
+        if adjusted.min() >= 0.0 and adjusted.max() <= kind.cap:
             weights = adjusted
     return DualSolution(threshold=float(shift + eta), weights=weights, value=value)
 
@@ -279,30 +327,23 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
     hand; otherwise (``None``, NaN, infinite, or outside) the iteration
     starts cold, exactly as :func:`solve_dual_1d` does.
     """
-    kind, nu = spec.kind, spec.nu
-    n = u.size
-    cap = tail_cap(n, p)
+    kind = _KINDS[spec.kind](spec.nu, u.size, p)
     shift = _quantile(u, p)
     v = u - shift
-    # a weight is 1/n at v - eta = s_uniform and at the cap from v - eta = s_cap on
-    if kind == EUCLIDEAN:
-        s_uniform, s_cap = 0.0, (nu / n) * p / (1.0 - p)
-    else:
-        s_uniform, s_cap = nu, nu * (1.0 - math.log1p(-p))
     # at lo the p-quantile and every larger value, more than n(1-p) of them,
     # sit at the cap; at hi every weight is at most 1/n
-    lo, hi = -s_cap, float(v.max()) - s_uniform
-    eta = -s_uniform
+    lo, hi = -kind.s_cap, float(v.max()) - kind.s_uniform
+    eta = -kind.s_uniform
     if start is not None and lo < start < hi:
         eta = start
     tol = _slope_eps(p)
     previous = math.inf
-    s = np.empty(n)
-    buffers = _pass_buffers(n)
+    s = np.empty(u.size)
+    buffers = _pass_buffers(u.size)
 
     def weights_at(eta):
         np.subtract(v, eta, out=s)
-        weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap, buffers)
+        weights, curvature = kind.weights_and_curvature(s, buffers)
         return weights, curvature, (float(weights.sum()), float(curvature.sum()))
 
     for _ in range(_NEWTON_MAX_ITER):
@@ -314,7 +355,7 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
             lo = eta
         else:
             hi = eta
-        step = eta + _newton_step(slope, sums[1], kind, nu)
+        step = eta + kind.step(slope, sums[1])
         if step == eta:
             break
         if not lo < step < hi or abs(slope) > 0.5 * previous:
@@ -325,7 +366,7 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
         eta = step
     else:
         weights, curvature, sums = weights_at(eta)
-    return _solution_at(shift, eta, s, weights, curvature, kind, nu, n, p, cap, sums), eta
+    return _solution_at(shift, eta, s, weights, curvature, kind, sums), eta
 
 
 def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
@@ -347,31 +388,28 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
 def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
     """Solve the scalar dual by bisection only (reference path, no Newton steps)."""
     u = as_sample(values)
-    p = check_tail(p)
-    kind, nu = spec.kind, spec.nu
-    n = u.size
-    cap = tail_cap(n, p)
-    lo = float(u.min()) - nu - 1.0
-    hi = float(u.max()) + nu + 1.0
-    eps = _slope_eps(p)
-    if _slope(lo, u, kind, nu, n, p, cap) > eps:
+    kind = _KINDS[spec.kind](spec.nu, u.size, p)
+    lo = float(u.min()) - spec.nu - 1.0
+    hi = float(u.max()) + spec.nu + 1.0
+    eps = _slope_eps(kind.p)
+    if _slope(lo, u, kind) > eps:
         span = hi - lo
         for _ in range(60):
             lo -= span
             span *= 2.0
-            if _slope(lo, u, kind, nu, n, p, cap) <= eps:
+            if _slope(lo, u, kind) <= eps:
                 break
-    if _slope(hi, u, kind, nu, n, p, cap) < -eps:
+    if _slope(hi, u, kind) < -eps:
         span = hi - lo
         for _ in range(60):
             hi += span
             span *= 2.0
-            if _slope(hi, u, kind, nu, n, p, cap) >= -eps:
+            if _slope(hi, u, kind) >= -eps:
                 break
-    eta = _bisect(u, kind, nu, n, p, cap, lo, hi)
+    eta = _bisect(u, kind, lo, hi)
     s = u - eta
-    weights, curvature = _weights_and_curvature(s, kind, nu, n, p, cap)
-    return _solution_at(0.0, eta, s, weights, curvature, kind, nu, n, p, cap)
+    weights, curvature = kind.weights_and_curvature(s)
+    return _solution_at(0.0, eta, s, weights, curvature, kind)
 
 
 def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float, np.ndarray]:
@@ -387,11 +425,13 @@ def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float
 
 
 def divergence(q, spec: SmoothingSpec, n: int) -> float:
-    """Divergence D of a weight vector from the uniform distribution."""
+    """Divergence D of a weight vector of length n from the uniform distribution."""
+    # D does not depend on the tail, so any p builds the record
+    kind = _KINDS[spec.kind](spec.nu, n, 0.0)
     q_arr = np.asarray(q, dtype=float)
-    if spec.kind == EUCLIDEAN:
-        return float(0.5 * ((q_arr - 1.0 / n) ** 2).sum())
-    return float(xlogy(q_arr, q_arr * n).sum())
+    if q_arr.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {q_arr.shape}")
+    return kind.divergence(q_arr)
 
 
 def divergence_max(spec: SmoothingSpec, n: int, p: float) -> float:
@@ -401,15 +441,14 @@ def divergence_max(spec: SmoothingSpec, n: int, p: float) -> float:
     most concentrated vertex: greedily stack the cap on as few coordinates
     as possible and put the remainder on one more.
     """
-    p = check_tail(p)
-    cap = tail_cap(n, p)
-    m = min(int(math.floor(1.0 / cap + 1e-12)), n)
+    kind = _KINDS[spec.kind](spec.nu, n, p)
+    m = min(int(math.floor(1.0 / kind.cap + 1e-12)), n)
     q = np.zeros(n)
-    q[:m] = cap
-    rem = 1.0 - m * cap
+    q[:m] = kind.cap
+    rem = 1.0 - m * kind.cap
     if rem > 1e-12 and m < n:
         q[m] = rem
-    return divergence(q, spec, n)
+    return kind.divergence(q)
 
 
 def smoothed_positive_part(x, spec: SmoothingSpec, n: int, p: float):
@@ -421,10 +460,11 @@ def smoothed_positive_part(x, spec: SmoothingSpec, n: int, p: float):
     minimizing over the shift reproduces :func:`smoothed_superquantile`.
     """
     p = check_tail(p)
+    _check_count(n)
     nu = spec.nu
     c = n * (1.0 - p)
     x_arr = np.asarray(x, dtype=float)
-    if spec.kind == EUCLIDEAN:
+    if _KINDS[spec.kind] is _Euclidean:
         t = np.clip((1.0 - p) + x_arr * c / nu, 0.0, 1.0)
         out = x_arr * t - nu * (t - (1.0 - p)) ** 2 / (2.0 * c)
     else:
@@ -526,8 +566,7 @@ def divergence_from_density(density: DensitySpec):
         interior = (t_arr > 0.0) & (t_arr < 1.0)
         if np.any(interior):
             qt = density.quantile_fn(t_arr[interior])
-            out_interior = t_arr[interior] * qt - conv_smoothed_positive_part(qt, density, 1.0)
-            out[interior] = out_interior
+            out[interior] = t_arr[interior] * qt - conv_smoothed_positive_part(qt, density, 1.0)
         out = np.where(t_arr == 1.0, density.mean, out)
         return out if t_arr.ndim else float(out)
 
@@ -564,9 +603,10 @@ def density_from_smoothing(spec: SmoothingSpec, n: int, p: float) -> SmoothingDe
     tail constant, with :func:`smoothed_positive_part` on a grid.  The KL
     kind has unbounded curvature support and is rejected.
     """
-    if spec.kind != EUCLIDEAN:
+    if _KINDS[spec.kind] is not _Euclidean:
         raise ValueError("density reconstruction is implemented for the 'euclidean' kind only")
     p = check_tail(p)
+    _check_count(n)
     nu = spec.nu
     density = DensitySpec("uniform", -1.0 / n, p / (n * (1.0 - p)))
     tail_value = -nu * (1.0 - p) / (2.0 * n)

@@ -68,8 +68,9 @@ class TestSubdifferential:
         assert not desc.is_singleton
         assert desc.hull_weight == pytest.approx(1.0)
         np.testing.assert_allclose(desc.fixed_part, [0.0], atol=1e-15)
-        np.testing.assert_allclose(desc.element([1.0, 0.0]), [1.0], atol=1e-14)
-        np.testing.assert_allclose(desc.element([0.0, 1.0]), [2.0], atol=1e-14)
+        # the segment's ends are the two tied losses' gradients
+        np.testing.assert_allclose(desc.fixed_part + desc.hull_weight * desc.extreme_gradients[0], [1.0], atol=1e-14)
+        np.testing.assert_allclose(desc.fixed_part + desc.hull_weight * desc.extreme_gradients[1], [2.0], atol=1e-14)
         np.testing.assert_allclose(desc.selected, [1.5], atol=1e-14)
 
     def test_identical_losses_collapse(self):
@@ -83,14 +84,6 @@ class TestSubdifferential:
         desc = subdifferential(lm, w, 0.0)
         _, mean_grad = erm_value_grad(lm, w, 0.0)
         np.testing.assert_allclose(desc.selected, mean_grad, rtol=1e-10, atol=1e-12)
-
-    def test_element_validation(self):
-        lm = linear_loss_map([1.0, 2.0])
-        desc = subdifferential(lm, np.array([0.0]), 0.5)
-        with pytest.raises(ValueError, match="convex combination"):
-            desc.element([0.7, 0.7])
-        with pytest.raises(ValueError, match="one coefficient"):
-            desc.element([1.0])
 
     def test_subgradient_inequality_convex_case(self):
         # linear model + squared loss: the composition is convex in w
@@ -373,7 +366,8 @@ class TestWarmStartPasses:
     @pytest.mark.parametrize("kind,nu", [("euclidean", 0.5), ("kl", 0.02)])
     def test_fewer_passes_same_fit(self, kind, nu, monkeypatch):
         lm, _ = tail_regression_map(53, 4000, 5)
-        weights_and_curvature = sqopt.smoothing._weights_and_curvature
+        record = sqopt.smoothing._KINDS[kind]
+        weights_and_curvature = record.weights_and_curvature
         newton_dual = sqopt.oracles._newton_dual
         counts = {"passes": 0}
 
@@ -382,7 +376,7 @@ class TestWarmStartPasses:
             return weights_and_curvature(*args)
 
         def fit(cold):
-            monkeypatch.setattr(sqopt.smoothing, "_weights_and_curvature", counted_pass)
+            monkeypatch.setattr(record, "weights_and_curvature", counted_pass)
             if cold:
                 monkeypatch.setattr(sqopt.oracles, "_newton_dual",
                                     lambda u, spec, p, start: newton_dual(u, spec, p))

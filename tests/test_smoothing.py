@@ -45,6 +45,40 @@ class TestSmoothingSpec:
             SmoothingSpec("kl", -1.0)
 
 
+class TestSampleSize:
+    """Every public function that takes a sample size n checks it."""
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, True, None, np.int64(0), np.float64(2.0)])
+    def test_bad_n_rejected(self, n):
+        for kind in smoothing_module._KINDS:
+            spec = SmoothingSpec(kind, 1.0)
+            calls = [lambda: scalar_conjugate(0.5, spec, n, 0.5),
+                     lambda: scalar_conjugate_grad(0.5, spec, n, 0.5),
+                     lambda: divergence(np.full(3, 1.0 / 3.0), spec, n),
+                     lambda: divergence_max(spec, n, 0.5),
+                     lambda: smoothed_positive_part(0.5, spec, n, 0.5)]
+            if kind == "euclidean":
+                calls.append(lambda: density_from_smoothing(spec, n, 0.5))
+            for call in calls:
+                with pytest.raises(ValueError, match="sample size"):
+                    call()
+
+    def test_numpy_integer_n_accepted(self):
+        for kind in smoothing_module._KINDS:
+            spec = SmoothingSpec(kind, 0.7)
+            s = np.linspace(-2.0, 2.0, 9)
+            assert scalar_conjugate(s, spec, np.int64(3), 0.5).tobytes() == scalar_conjugate(s, spec, 3, 0.5).tobytes()
+            assert divergence_max(spec, np.int32(5), 0.6) == divergence_max(spec, 5, 0.6)
+
+    def test_divergence_needs_n_weights(self):
+        for kind in smoothing_module._KINDS:
+            spec = SmoothingSpec(kind, 1.0)
+            for q in ([0.5, 0.5], np.full((3, 1), 1.0 / 3.0), 1.0):
+                with pytest.raises(ValueError, match="shape"):
+                    divergence(q, spec, 3)
+            assert divergence([1.0], spec, 1) == 0.0
+
+
 class TestScalarConjugate:
     def test_euclidean_flat_below_threshold(self):
         # below s = -nu/n the maximizer is t = 0 and the value freezes at -nu d(0)
@@ -170,7 +204,7 @@ class TestDualSolver:
             primal = float(sol.weights @ u) - nu * divergence(sol.weights, spec, u.size)
             assert abs(primal - sol.value) <= 1e-10 * max(1.0, abs(sol.value))
 
-    @pytest.mark.parametrize("kind", ["euclidean", "kl"])
+    @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
     def test_closed_form_matches_bisection(self, kind):
         rng = np.random.default_rng(16)
         for _ in range(120):
@@ -245,7 +279,7 @@ def edge_instances(rng, count):
 
 
 class TestSolverEdgeBattery:
-    @pytest.mark.parametrize("kind", ["euclidean", "kl"])
+    @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
     def test_feasible_and_sandwiched(self, kind):
         eps = np.finfo(float).eps
         failures = []
@@ -277,7 +311,7 @@ def warm_starts(rng, u, cold):
 class TestWarmStartEdgeBattery:
     """The oracle's warm-started solve meets the edge battery's criteria from any start."""
 
-    @pytest.mark.parametrize("kind", ["euclidean", "kl"])
+    @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
     def test_feasible_and_sandwiched_from_any_start(self, kind):
         eps = np.finfo(float).eps
         rng = np.random.default_rng(28)
@@ -572,7 +606,8 @@ class TestOneConjugatePerPass:
     def test_value_reuses_last_pass(self, kind, elementwise, monkeypatch):
         # the weight formula runs once per Newton pass, and the value adds no run of its own
         counts = {"passes": 0, "elementwise": 0}
-        weights_and_curvature = smoothing_module._weights_and_curvature
+        record = smoothing_module._KINDS[kind]
+        weights_and_curvature = record.weights_and_curvature
         numpy_fn = getattr(np, elementwise)
 
         def counted_pass(*args):
@@ -584,7 +619,7 @@ class TestOneConjugatePerPass:
             return numpy_fn(*args, **kwargs)
 
         u = np.random.default_rng(7).normal(0.0, 1.0, 500)
-        monkeypatch.setattr(smoothing_module, "_weights_and_curvature", counted_pass)
+        monkeypatch.setattr(record, "weights_and_curvature", counted_pass)
         monkeypatch.setattr(np, elementwise, counted_fn)
         solve_dual_1d(u, SmoothingSpec(kind, 0.1), 0.9)
         monkeypatch.undo()
