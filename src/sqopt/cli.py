@@ -104,6 +104,7 @@ def cmd_eval(args) -> int:
         print("error: --smoothing applies only with --nu", file=sys.stderr)
         return 2
     values = _read_values(args)
+    spec = None if args.nu is None else SmoothingSpec(args.smoothing or "euclidean", args.nu)
     p = args.p
     print(f"n: {values.size}")
     print(f"p: {p!r}")
@@ -113,8 +114,7 @@ def cmd_eval(args) -> int:
     print(f"superquantile_dual: {dual_value!r}")
     var_value, eta = superquantile_variational(values, p)
     print(f"superquantile_variational: {var_value!r} (threshold {eta!r})")
-    if args.nu is not None:
-        spec = SmoothingSpec(args.smoothing or "euclidean", args.nu)
+    if spec is not None:
         smoothed, smooth_weights = smoothed_superquantile(values, spec, p)
         print(f"smoothed ({spec.kind}, nu={spec.nu!r}): {smoothed!r}")
         print(f"smoothed weights: min={float(smooth_weights.min())!r} "

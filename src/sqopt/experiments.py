@@ -61,9 +61,6 @@ class FitSettings:
     def model(self) -> ModelSpec:
         return ModelSpec(kind=self.model_kind, degree=self.degree, loss=self.loss)
 
-    def smoothing_spec(self) -> SmoothingSpec:
-        return SmoothingSpec(self.smoothing, self.nu)
-
     def config_dict(self) -> dict:
         """Every setting but the seed, which the report records on its own."""
         config = asdict(self)
@@ -124,6 +121,8 @@ def fit_models(dataset: Dataset, settings: FitSettings,
     Returns the report dictionary and per-row prediction records from which
     every reported metric can be recomputed.
     """
+    # checked first, so a bad strength fails before any fit
+    spec = SmoothingSpec(settings.smoothing, settings.nu)
     task = "classification" if settings.loss == "logistic" else "regression"
     model = settings.model()
     train_idx, test_idx = split_indices(dataset.n_rows, settings.train_fraction, settings.seed)
@@ -132,7 +131,7 @@ def fit_models(dataset: Dataset, settings: FitSettings,
     w0 = np.zeros(loss_map.dim)
     erm_result = minimize(erm_objective(loss_map, settings.reg), w0)
     sq_result = minimize(
-        smoothed_objective(loss_map, settings.p, settings.smoothing_spec(), settings.reg), w0)
+        smoothed_objective(loss_map, settings.p, spec, settings.reg), w0)
 
     report = {
         "experiment": "fit",
@@ -440,6 +439,8 @@ def run_sweep(values, p: float, kind: str = "euclidean",
     if grid is None:
         grid = default_nu_grid(u)
     grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("the nu grid is empty")
     exact = superquantile(u, p)
     mean = float(u.mean())
     order = np.argsort(u, kind="stable")

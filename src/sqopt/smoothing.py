@@ -27,9 +27,8 @@ convex function of a single scalar shift with a monotone derivative.
 with one safeguarded Newton iteration: it centres the sample at its
 p-quantile, brackets the root in closed form without sorting, and takes the
 slope and the curvature from one O(n) pass per step, bisecting the bracket
-when a step leaves it or stalls.  The passes of one solve write into work
-arrays allocated once for that solve, and the smoothed value comes from the
-weights and sums of the last pass.  :func:`bisect_dual` is the independent
+when a step leaves it or stalls.  The smoothed value comes from the weights
+and sums of the last pass.  :func:`bisect_dual` is the independent
 bisection-only reference.
 
 The smoothed oracle (``sqopt.oracles.smoothed_objective``) solves one dual
@@ -112,11 +111,6 @@ class DualSolution:
     value: float
 
 
-def _pass_buffers(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays of one ``weights_and_curvature`` pass: two float, one bool."""
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-
-
 def _check_count(n) -> None:
     """Reject a sample size that is not an integer >= 1."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -130,12 +124,9 @@ class _Divergence:
     is ``1/n`` at the shifted value ``s = u - eta = s_uniform`` and at the
     cap from ``s = s_cap`` on.  It defines four methods:
 
-    * ``weights_and_curvature(s, out=None)``: the optimal weights at ``s``
-      and their curvature shares, whose sum over ``nu`` is the second
-      derivative of the dual function (a weight at a bound contributes
-      nothing).  With ``out`` from :func:`_pass_buffers` the pass allocates
-      nothing and returns views of those buffers; each operation is the one
-      it would be without them, so the results are the same bits.
+    * ``weights_and_curvature(s)``: the optimal weights at ``s`` and their
+      curvature shares, whose sum over ``nu`` is the second derivative of
+      the dual function (a weight at a bound contributes nothing).
     * ``values(s, weights, curvature)``: the conjugate values at ``s`` from
       that pass.
     * ``step(slope, curvature)``: the Newton step on the dual derivative,
@@ -156,16 +147,10 @@ class _Euclidean(_Divergence):
         super().__init__(nu, n, p)
         self.s_uniform, self.s_cap = 0.0, (nu / n) * self.p / (1.0 - self.p)
 
-    def weights_and_curvature(self, s: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def weights_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights at ``s``; a weight strictly inside ``(0, cap)`` has curvature share 1."""
-        weights, _, flags = out if out is not None else _pass_buffers(s.shape)
-        np.divide(s, self.nu, out=weights)
-        np.add(weights, 1.0 / self.n, out=weights)
-        np.clip(weights, 0.0, self.cap, out=weights)
-        np.greater(weights, 0.0, out=flags)
-        # a weight below the cap counts where it is also above zero
-        np.less(weights, self.cap, out=flags, where=flags)
-        return weights, flags
+        weights = np.clip(s / self.nu + 1.0 / self.n, 0.0, self.cap)
+        return weights, (weights > 0.0) & (weights < self.cap)
 
     def values(self, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray) -> np.ndarray:
         return s * weights - 0.5 * self.nu * (weights - 1.0 / self.n) ** 2
@@ -185,20 +170,11 @@ class _KL(_Divergence):
         super().__init__(nu, n, p)
         self.s_uniform, self.s_cap = nu, nu * (1.0 - math.log1p(-self.p))
 
-    def weights_and_curvature(self, s: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def weights_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights at ``s``; an unsaturated weight is its own curvature share."""
-        weights, t, flags = out if out is not None else _pass_buffers(s.shape)
-        np.greater_equal(s, self.s_cap, out=flags)
-        np.minimum(s, self.s_cap, out=t)
-        np.divide(t, self.nu, out=t)
-        np.subtract(t, 1.0, out=t)
-        np.exp(t, out=t)
-        np.divide(t, self.n, out=t)
-        np.minimum(t, self.cap, out=weights)
-        np.copyto(weights, self.cap, where=flags)
-        # the curvature share is the unsaturated weight, zero at saturation
-        np.copyto(t, 0.0, where=flags)
-        return weights, t
+        saturated = s >= self.s_cap
+        t = np.exp(np.minimum(s, self.s_cap) / self.nu - 1.0) / self.n
+        return np.where(saturated, self.cap, np.minimum(t, self.cap)), np.where(saturated, 0.0, t)
 
     def values(self, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray) -> np.ndarray:
         # unsaturated, the value is nu * t, the curvature share; saturation is
@@ -338,16 +314,14 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
         eta = start
     tol = _slope_eps(p)
     previous = math.inf
-    s = np.empty(u.size)
-    buffers = _pass_buffers(u.size)
 
     def weights_at(eta):
-        np.subtract(v, eta, out=s)
-        weights, curvature = kind.weights_and_curvature(s, buffers)
-        return weights, curvature, (float(weights.sum()), float(curvature.sum()))
+        s = v - eta
+        weights, curvature = kind.weights_and_curvature(s)
+        return s, weights, curvature, (float(weights.sum()), float(curvature.sum()))
 
     for _ in range(_NEWTON_MAX_ITER):
-        weights, curvature, sums = weights_at(eta)
+        s, weights, curvature, sums = weights_at(eta)
         slope = 1.0 - sums[0]
         if abs(slope) <= tol:
             break
@@ -356,8 +330,6 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
         else:
             hi = eta
         step = eta + kind.step(slope, sums[1])
-        if step == eta:
-            break
         if not lo < step < hi or abs(slope) > 0.5 * previous:
             step = 0.5 * (lo + hi)
             if not lo < step < hi:
@@ -365,7 +337,7 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
         previous = abs(slope)
         eta = step
     else:
-        weights, curvature, sums = weights_at(eta)
+        s, weights, curvature, sums = weights_at(eta)
     return _solution_at(shift, eta, s, weights, curvature, kind, sums), eta
 
 

@@ -324,6 +324,15 @@ class TestSweep:
                     "--p", "0.9", "--grid", "0.1,1", "--out", str(out)]) == 0
         assert (out / "weights_by_nu.csv").exists()
 
+    @pytest.mark.parametrize("grid", [",", ""])
+    def test_empty_grid_rejected(self, grid, tmp_path, capsys):
+        assert run(["sweep-nu", "--values", "1,2,3", "--p", "0.5", "--grid", grid,
+                    "--out", str(tmp_path / "s")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid is empty" in captured.err
+        assert not (tmp_path / "s").exists()
+
     def test_requires_some_input(self, tmp_path, capsys):
         assert run(["sweep-nu", "--p", "0.5", "--out", str(tmp_path / "s")]) == 2
 
@@ -432,3 +441,26 @@ class TestEmptyOrNonFiniteSample:
         assert captured.out == ""
         assert "empty sample" in captured.err
         assert not (tmp_path / "s").exists()
+
+
+class TestBadStrengthBeforeOutput:
+    """A strength that is not positive and finite exits 2 before any output or fit."""
+
+    @pytest.mark.parametrize("nu", ["-1", "0", "nan"])
+    def test_eval(self, nu, capsys):
+        assert run(["eval", "--values", "1,2,3", "--p", "0.5", "--nu", nu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nu must be positive" in captured.err
+
+    @pytest.mark.parametrize("command", [["fit"], ["sweep-nu", "--fit-first"]])
+    def test_no_fit_runs(self, command, regression_csv, tmp_path, capsys, monkeypatch):
+        fits = []
+        monkeypatch.setattr("sqopt.experiments.minimize", lambda *args: fits.append(args))
+        assert run([*command, "--data", regression_csv, "--p", "0.9", "--nu", "-1",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert fits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nu must be positive" in captured.err
+        assert not (tmp_path / "o").exists()

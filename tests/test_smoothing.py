@@ -297,6 +297,36 @@ class TestSolverEdgeBattery:
         assert not failures, f"{len(failures)} failures, first: {failures[:3]}"
 
 
+class TestTinyNuIntegerSamples:
+    """Integer samples at nu far below their spacing: ties and a stiff KL exponential."""
+
+    def test_feasible_and_sandwiched(self):
+        # a Newton step that leaves eta where it was must bisect, not end the solve
+        rng = np.random.default_rng(0)
+        failures = []
+        for _ in range(2000):
+            n = int(rng.integers(2, 50))
+            p = float(rng.choice([0.5, 0.75, 0.9]))
+            u = rng.integers(0, 10, n).astype(float)
+            exact = superquantile_integral(u, p)
+            slack = 1e-12 * max(1.0, abs(exact))
+            for nu in (1e-17, 1e-20):
+                for kind in smoothing_module._KINDS:
+                    spec = SmoothingSpec(kind, nu)
+                    sol = solve_dual_1d(u, spec, p)
+                    ok = (sol.weights.min() >= 0.0 and sol.weights.max() <= tail_cap(n, p)
+                          and abs(sol.weights.sum() - 1.0) <= 1e-12
+                          and exact - nu * divergence_max(spec, n, p) - slack <= sol.value <= exact + slack)
+                    if not ok:
+                        failures.append((kind, u.tolist(), p, nu, float(sol.weights.sum()) - 1.0))
+        assert not failures, f"{len(failures)} failures, first: {failures[:3]}"
+
+    def test_kl_sums_to_one(self):
+        sol = solve_dual_1d([0.0, 1.0, 2.0, 5.0], SmoothingSpec("kl", 1e-17), 0.5)
+        assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sol.value == pytest.approx(superquantile_integral([0.0, 1.0, 2.0, 5.0], 0.5), rel=1e-12)
+
+
 def warm_starts(rng, u, cold):
     """Newton starts for one sample, measured from its p-quantile.
 
