@@ -7,8 +7,11 @@ sweep at a fixed model).  Output is JSON reports plus CSV data files; no
 plotting here, figures are made from the CSVs by external tooling.
 
 Exit codes: 0 on success (a reported optimizer failure still counts as a
-run), 2 on usage or data errors.  With a fixed seed every written artifact is
-byte-identical across runs on one platform; wall time goes to stderr only.
+run), 2 on usage or data errors.  A command raises ``ValueError`` (or the
+``OSError`` of a file it cannot read) for such an error; :func:`main` alone
+prints it as ``error: ...`` and returns 2.  With a fixed seed every written
+artifact is byte-identical across runs on one platform; wall time goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -91,18 +94,16 @@ def _write_artifacts(out: str, report: dict, **tables: list[dict]) -> None:
             if rows:
                 writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
                 writer.writeheader()
-                writer.writerows({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
-                                 for row in rows)
+                writer.writerows(rows)
 
 
 def _print_wall_time(started: float) -> None:
     print(f"wall time: {time.perf_counter() - started:.2f}s", file=sys.stderr)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     if args.smoothing is not None and args.nu is None:
-        print("error: --smoothing applies only with --nu", file=sys.stderr)
-        return 2
+        raise ValueError("--smoothing applies only with --nu")
     values = _read_values(args)
     spec = None if args.nu is None else SmoothingSpec(args.smoothing or "euclidean", args.nu)
     p = args.p
@@ -120,10 +121,9 @@ def cmd_eval(args) -> int:
         print(f"smoothed weights: min={float(smooth_weights.min())!r} "
               f"max={float(smooth_weights.max())!r} sum={float(smooth_weights.sum())!r} "
               f"nonzero={int((smooth_weights > 0).sum())}")
-    return 0
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     started = time.perf_counter()
     task = "classification" if args.loss == "logistic" else "regression"
     dataset = load_csv(args.data, task=task)
@@ -139,47 +139,36 @@ def cmd_fit(args) -> int:
     for name, entry in report["models"].items():
         print(f"{name}: status={entry['optim']['status']} test={entry['metrics']['test']}")
     _print_wall_time(started)
-    return 0
 
 
-def cmd_experiment(args) -> int:
+def _study_dataset(name: str, args):
+    """The dataset of study ``name``: synthetic, ``--data``, or its file in SQOPT_DATA_DIR."""
+    if args.synthetic:
+        return synthetic_credit(seed=args.seed)
+    data_path = args.data
+    data_dir = os.environ.get("SQOPT_DATA_DIR")
+    if data_path is None and data_dir:
+        candidate = Path(data_dir) / DATASET_FILES[name]
+        if candidate.exists():
+            data_path = str(candidate)
+    if data_path is None:
+        raise ValueError(f"experiment {name!r} needs --data (or SQOPT_DATA_DIR) pointing "
+                         "to a local CSV (see scripts/fetch_datasets.py)")
+    return load_csv(data_path, task="classification" if name == "credit" else "regression")
+
+
+def cmd_experiment(args) -> None:
     started = time.perf_counter()
     name = args.name
     if args.synthetic and name != "credit":
-        print("error: --synthetic is for experiment 'credit' only", file=sys.stderr)
-        return 2
+        raise ValueError("--synthetic is for experiment 'credit' only")
     if args.data is not None and name not in DATASET_FILES:
-        print(f"error: experiment {name!r} reads no dataset, --data does not apply", file=sys.stderr)
-        return 2
-    if name in DATASET_FILES:
-        if args.synthetic:
-            dataset = synthetic_credit(seed=args.seed)
-        else:
-            data_path = args.data
-            data_dir = os.environ.get("SQOPT_DATA_DIR")
-            if data_path is None and data_dir:
-                candidate = Path(data_dir) / DATASET_FILES[name]
-                if candidate.exists():
-                    data_path = str(candidate)
-            if data_path is None:
-                print(f"error: experiment {name!r} needs --data (or SQOPT_DATA_DIR) pointing "
-                      "to a local CSV (see scripts/fetch_datasets.py)", file=sys.stderr)
-                return 2
-            task = "classification" if name == "credit" else "regression"
-            dataset = load_csv(data_path, task=task)
-        if name == "abalone":
-            report, rows = run_abalone(dataset, seed=args.seed)
-        else:
-            report, rows = run_credit(dataset, seed=args.seed)
-    elif name == "toyreg":
-        report, rows = run_toyreg(seed=args.seed)
-    elif name == "federated":
-        report, rows = run_federated(seed=args.seed)
-    elif name == "fairness":
-        report, rows = run_fairness(seed=args.seed)
-    else:
-        report, rows = run_convergence(seed=args.seed)
-
+        raise ValueError(f"experiment {name!r} reads no dataset, --data does not apply")
+    # built per call, so that it holds whatever the module's run_* names are bound to now
+    studies = {"toyreg": run_toyreg, "federated": run_federated, "fairness": run_fairness,
+               "abalone": run_abalone, "credit": run_credit, "convergence": run_convergence}
+    inputs = (_study_dataset(name, args),) if name in DATASET_FILES else ()
+    report, rows = studies[name](*inputs, seed=args.seed)
     _write_artifacts(args.out, report, predictions=rows)
     summary = {k: v for k, v in report.items() if k in
                ("experiment", "median_gaps", "strictly_decreasing", "subgroup_gap",
@@ -191,27 +180,24 @@ def cmd_experiment(args) -> int:
         }
     print(json.dumps(summary, indent=2, sort_keys=True))
     _print_wall_time(started)
-    return 0
 
 
-def cmd_sweep_nu(args) -> int:
+def cmd_sweep_nu(args) -> None:
     started = time.perf_counter()
     if args.data is None:
         if args.values is None and args.input is None:
-            print("error: sweep-nu needs --values/--input or --data with --weights/--fit-first",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("sweep-nu needs --values/--input or --data with --weights/--fit-first")
         given = {"--weights": args.weights, "--fit-first": args.fit_first or None,
                  "--loss": args.loss, "--model": args.model, "--nu": args.nu}
         model_flags = [flag for flag, value in given.items() if value is not None]
         if model_flags:
-            print(f"error: {', '.join(model_flags)} apply only with --data", file=sys.stderr)
-            return 2
+            raise ValueError(f"{', '.join(model_flags)} apply only with --data")
         values = _read_values(args)
     else:
         if args.weights is not None and args.nu is not None:
-            print("error: --nu applies only with --fit-first", file=sys.stderr)
-            return 2
+            raise ValueError("--nu applies only with --fit-first")
+        if args.weights is None and not args.fit_first:
+            raise ValueError("provide --weights FILE or --fit-first with --data")
         loss = args.loss or "squared"
         task = "classification" if loss == "logistic" else "regression"
         dataset = load_csv(args.data, task=task)
@@ -223,22 +209,18 @@ def cmd_sweep_nu(args) -> int:
                 w = np.array([float(line) for line in handle.read().split() if line.strip()])
             if w.size != loss_map.dim:
                 raise ValueError(f"--weights file has {w.size} values, the model has {loss_map.dim} parameters")
-        elif args.fit_first:
+        else:
             settings = FitSettings(loss=loss, model_kind=kind, degree=degree, p=args.p,
                                    nu=0.1 if args.nu is None else args.nu,
                                    smoothing=args.smoothing, seed=args.seed)
             report, _ = fit_models(dataset, settings)
             w = np.array(report["models"]["superquantile"]["optim"]["weights"])
-        else:
-            print("error: provide --weights FILE or --fit-first with --data", file=sys.stderr)
-            return 2
         values = loss_map.eval(w)
 
     report, rows, weight_rows = run_sweep(values, args.p, kind=args.smoothing, grid=args.grid)
     _write_artifacts(args.out, report, sweep=rows, weights_by_nu=weight_rows)
     print(json.dumps(report["endpoints"], indent=2, sort_keys=True))
     _print_wall_time(started)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,10 +291,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

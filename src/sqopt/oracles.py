@@ -102,6 +102,8 @@ def _objective(loss_map: LossMap, reg: float,
     """
     if not reg >= 0.0:
         raise ValueError(f"reg must be nonnegative, got {reg}")
+    if reg == math.inf:
+        raise ValueError(f"reg must be nonnegative and finite, got {reg}")
     n = loss_map.n
 
     def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:

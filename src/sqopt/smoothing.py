@@ -271,18 +271,17 @@ def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> float:
 
 
 def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray,
-                 kind: _Divergence, sums: tuple[float, float] | None = None) -> DualSolution:
+                 kind: _Divergence, sums: tuple[float, float]) -> DualSolution:
     """Threshold ``shift + eta``, weights and value from a solve's last pass at ``s = v - eta``.
 
-    ``sums`` are that pass's ``weights.sum()`` and ``curvature.sum()`` when
-    the caller already has them.
+    ``sums`` are that pass's ``weights.sum()`` and ``curvature.sum()``.
     """
     value = shift + (eta + float(kind.values(s, weights, curvature).sum()))
     # the quantization of eta floors the achievable |sum - 1| at
     # curvature * ulp(eta); spread that residual over the coordinates in
     # proportion to their curvature, which is how an infinitesimal eta
     # shift would act
-    total_weight, total = sums if sums is not None else (float(weights.sum()), float(curvature.sum()))
+    total_weight, total = sums
     resid = total_weight - 1.0
     if resid != 0.0 and abs(resid) < 1e-8 and total > 0.0:
         adjusted = weights - (resid / total) * curvature
@@ -381,7 +380,7 @@ def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
     eta = _bisect(u, kind, lo, hi)
     s = u - eta
     weights, curvature = kind.weights_and_curvature(s)
-    return _solution_at(0.0, eta, s, weights, curvature, kind)
+    return _solution_at(0.0, eta, s, weights, curvature, kind, (float(weights.sum()), float(curvature.sum())))
 
 
 def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float, np.ndarray]:
@@ -451,7 +450,8 @@ class DensitySpec:
     """Mollifier density for convolution smoothing of the positive part.
 
     ``kind`` is one of ``"logistic"``, ``"uniform"`` (support ``[a, b]``) or
-    ``"gaussian"`` (standard normal).
+    ``"gaussian"`` (standard normal).  Only the uniform density reads
+    ``a`` and ``b``; the others reject any but the defaults.
     """
 
     kind: str
@@ -463,6 +463,8 @@ class DensitySpec:
             raise ValueError(f"unknown density kind {self.kind!r}")
         if self.kind == "uniform" and not self.b > self.a:
             raise ValueError("uniform density needs a < b")
+        if self.kind != "uniform" and (self.a, self.b) != (-1.0, 1.0):
+            raise ValueError(f"{self.kind} density has no support parameters, got a={self.a}, b={self.b}")
 
     def pdf(self, x):
         x_arr = np.asarray(x, dtype=float)

@@ -173,6 +173,13 @@ class TestFit:
         assert run(["fit", "--data", regression_csv, "--reg", "-1", "--out", str(tmp_path / "o")]) == 2
         assert "reg must be nonnegative" in capsys.readouterr().err
 
+    def test_infinite_reg_exits_2(self, regression_csv, tmp_path, capsys):
+        assert run(["fit", "--data", regression_csv, "--reg", "inf", "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "reg must be nonnegative" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_split_outside_open_interval_exits_2(self, regression_csv, tmp_path, capsys):
         assert run(["fit", "--data", regression_csv, "--split", "1.5", "--out", str(tmp_path / "o")]) == 2
         captured = capsys.readouterr()
@@ -198,6 +205,19 @@ class TestExperiment:
         monkeypatch.delenv("SQOPT_DATA_DIR", raising=False)
         assert run(["experiment", "abalone", "--out", str(tmp_path / "x")]) == 2
         assert "needs --data" in capsys.readouterr().err
+
+    def test_study_looked_up_at_call_time(self, tmp_path, monkeypatch, capsys):
+        # perfbench wraps the module's run_* names; the command must call whatever they are bound to
+        calls = []
+
+        def stub(seed):
+            calls.append(seed)
+            return {"experiment": "stub"}, [{"x": 1}]
+
+        monkeypatch.setattr("sqopt.cli.run_toyreg", stub)
+        assert run(["experiment", "toyreg", "--seed", "7", "--out", str(tmp_path / "t")]) == 0
+        assert calls == [7]
+        assert read_json(tmp_path / "t" / "report.json") == {"experiment": "stub"}
 
     def test_data_dir_env_var(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
@@ -335,6 +355,14 @@ class TestSweep:
 
     def test_requires_some_input(self, tmp_path, capsys):
         assert run(["sweep-nu", "--p", "0.5", "--out", str(tmp_path / "s")]) == 2
+
+    def test_point_flags_checked_before_the_data_is_read(self, tmp_path, capsys):
+        assert run(["sweep-nu", "--data", str(tmp_path / "nosuch.csv"), "--p", "0.8",
+                    "--out", str(tmp_path / "s")]) == 2
+        captured = capsys.readouterr()
+        assert "--weights FILE or --fit-first" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "s").exists()
 
     def test_values_with_data_rejected(self, tmp_path, capsys):
         assert exit_code(["sweep-nu", "--values", "1,2,3", "--data", "/nonexistent.csv", "--p", "0.5",

@@ -236,6 +236,14 @@ class TestErmOracle:
         with pytest.raises(ValueError, match="reg"):
             smoothed_objective(lm, 0.5, SmoothingSpec("euclidean", 1.0), reg=-1.0)(w)
 
+    @pytest.mark.parametrize("reg", [np.inf, np.nan])
+    def test_non_finite_reg_rejected(self, reg):
+        lm = linear_loss_map([1.0, 2.0])
+        with pytest.raises(ValueError, match="reg must be nonnegative"):
+            erm_objective(lm, reg)
+        with pytest.raises(ValueError, match="reg must be nonnegative"):
+            smoothed_objective(lm, 0.5, SmoothingSpec("euclidean", 1.0), reg=reg)
+
     @pytest.mark.parametrize("p", [1.0, -0.1])
     def test_invalid_tail_rejected_when_built(self, p):
         def unreachable(*args):

@@ -550,6 +550,14 @@ class TestConvolutionSmoothing:
         with pytest.raises(ValueError, match="unknown density"):
             DensitySpec("laplace")
 
+    @pytest.mark.parametrize("kind", ["logistic", "gaussian"])
+    @pytest.mark.parametrize("a,b", [(3.0, 9.0), (-1.0, 2.0), (0.0, 1.0)])
+    def test_support_of_unbounded_density_rejected(self, kind, a, b):
+        # pdf, mean and the smoothed positive part would ignore the support
+        with pytest.raises(ValueError, match="no support parameters"):
+            DensitySpec(kind, a, b)
+        assert DensitySpec(kind, -1.0, 1.0) == DensitySpec(kind)
+
 
 class TestDensityDivergenceConversions:
     def test_logistic_divergence_is_binary_entropy(self):
