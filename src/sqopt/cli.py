@@ -30,6 +30,7 @@ import numpy as np
 from .core import as_sample, quantile, superquantile_dual, superquantile_integral, superquantile_variational
 from .data import load_csv
 from .experiments import (
+    STUDY_SMOOTHING,
     FitSettings,
     fit_models,
     run_abalone,
@@ -125,12 +126,11 @@ def cmd_eval(args) -> None:
 
 def cmd_fit(args) -> None:
     started = time.perf_counter()
-    task = "classification" if args.loss == "logistic" else "regression"
-    dataset = load_csv(args.data, task=task)
-    kind, degree = args.model
-    settings = FitSettings(loss=args.loss, model_kind=kind, degree=degree, p=args.p,
-                           nu=args.nu, smoothing=args.smoothing, reg=args.reg,
-                           train_fraction=args.split, seed=args.seed)
+    # both specs are checked before the data is read, the strength first
+    settings = FitSettings(smoothing=SmoothingSpec(args.smoothing, args.nu),
+                           model=ModelSpec(*args.model, loss=args.loss),
+                           p=args.p, reg=args.reg, train_fraction=args.split, seed=args.seed)
+    dataset = load_csv(args.data, task=settings.model.task)
     report, predictions = fit_models(dataset, settings)
     weight_rows = [{"model": name, "index": i, "value": v}
                    for name, entry in report["models"].items()
@@ -198,21 +198,18 @@ def cmd_sweep_nu(args) -> None:
             raise ValueError("--nu applies only with --fit-first")
         if args.weights is None and not args.fit_first:
             raise ValueError("provide --weights FILE or --fit-first with --data")
-        loss = args.loss or "squared"
-        task = "classification" if loss == "logistic" else "regression"
-        dataset = load_csv(args.data, task=task)
         kind, degree = args.model or ("linear", 1)
-        model = ModelSpec(kind=kind, degree=degree, loss=loss)
-        loss_map = pointwise_loss_map(dataset, model)
+        nu = STUDY_SMOOTHING.nu if args.nu is None else args.nu
+        # both specs are checked before the data is read; --weights leaves the strength at its default
+        settings = FitSettings(model=ModelSpec(kind=kind, degree=degree, loss=args.loss or "squared"),
+                               p=args.p, smoothing=SmoothingSpec(args.smoothing, nu), seed=args.seed)
+        dataset = load_csv(args.data, task=settings.model.task)
+        loss_map = pointwise_loss_map(dataset, settings.model)
         if args.weights is not None:
-            with open(args.weights, encoding="utf-8") as handle:
-                w = np.array([float(line) for line in handle.read().split() if line.strip()])
+            w = np.array([float(v) for v in Path(args.weights).read_text(encoding="utf-8").split()])
             if w.size != loss_map.dim:
                 raise ValueError(f"--weights file has {w.size} values, the model has {loss_map.dim} parameters")
         else:
-            settings = FitSettings(loss=loss, model_kind=kind, degree=degree, p=args.p,
-                                   nu=0.1 if args.nu is None else args.nu,
-                                   smoothing=args.smoothing, seed=args.seed)
             report, _ = fit_models(dataset, settings)
             w = np.array(report["models"]["superquantile"]["optim"]["weights"])
         values = loss_map.eval(w)
@@ -244,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--loss", choices=("squared", "logistic"), default="squared")
     p_fit.add_argument("--model", type=_parse_model, default=("linear", 1))
     p_fit.add_argument("--p", type=_tail_level, default=0.9)
-    p_fit.add_argument("--nu", type=float, default=0.1)
-    p_fit.add_argument("--smoothing", choices=tuple(_KINDS), default="euclidean")
+    p_fit.add_argument("--nu", type=float, default=STUDY_SMOOTHING.nu)
+    p_fit.add_argument("--smoothing", choices=tuple(_KINDS), default=STUDY_SMOOTHING.kind)
     p_fit.add_argument("--reg", type=float, default=0.0)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--split", type=float, default=0.8, help="train fraction")
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="fit the tail-risk model first, sweep at its solution")
     p_sweep.add_argument("--p", type=_tail_level, required=True)
     p_sweep.add_argument("--nu", type=float, default=None,
-                         help="strength used by --fit-first (default: 0.1)")
+                         help=f"strength used by --fit-first (default: {STUDY_SMOOTHING.nu})")
     p_sweep.add_argument("--smoothing", choices=tuple(_KINDS), default="euclidean")
     p_sweep.add_argument("--grid", type=_float_list, default=None,
                          help="comma-separated nu grid (default: log-spaced around the data scale)")

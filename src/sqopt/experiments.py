@@ -2,15 +2,18 @@
 
 Each driver is a pure function from a seed (plus optional dataset) to a
 report dictionary and per-row tables, so the studies can run and be checked
-without touching the filesystem.  A table is a list of row dicts that
-``_records`` builds from whole columns; every cell is a plain Python number
-or label, which the CSV writer prints exactly.  The CLI layer only parses
-flags and writes the artifacts, through one writer.
+without touching the filesystem.  Settings travel as whole validated
+specs: a :class:`FitSettings` holds a ``ModelSpec`` and a ``SmoothingSpec``,
+and the studies smooth with ``STUDY_SMOOTHING`` unless they say otherwise.
+A table is a list of row dicts that ``_records`` builds from whole columns;
+every cell is a plain Python number or label, which the CSV writer prints
+exactly.  The CLI layer only parses flags and writes the artifacts, through
+one writer.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .smoothing import SmoothingSpec, divergence_max, smoothed_superquantile
 
 __all__ = [
     "FitSettings",
+    "STUDY_SMOOTHING",
     "fit_models",
     "run_toyreg",
     "run_federated",
@@ -42,30 +46,29 @@ CREDIT_SEEDS = 5
 CREDIT_DOWNSAMPLE_RATIO = 0.10
 FEDERATED_CONFORMITY_LEVEL = 0.2
 NU_GRID_POINTS = 13
+# the smoothing of every study fit, and the default of ``fit``
+STUDY_SMOOTHING = SmoothingSpec("euclidean", 0.1)
 
 
 @dataclass(frozen=True)
 class FitSettings:
-    """Configuration shared by the fit command and the named experiments."""
+    """Configuration shared by the fit command and the named experiments.
 
-    loss: str = "squared"
-    model_kind: str = "linear"
-    degree: int = 1
+    The model and the smoothing are whole specs, validated when they are built.
+    """
+
+    model: ModelSpec = ModelSpec()
     p: float = 0.9
-    nu: float = 0.1
-    smoothing: str = "euclidean"
+    smoothing: SmoothingSpec = STUDY_SMOOTHING
     reg: float = 0.0
     train_fraction: float = 0.8
     seed: int = 0
 
-    def model(self) -> ModelSpec:
-        return ModelSpec(kind=self.model_kind, degree=self.degree, loss=self.loss)
-
     def config_dict(self) -> dict:
-        """Every setting but the seed, which the report records on its own."""
-        config = asdict(self)
-        del config["seed"]
-        return config
+        """Every setting but the seed (the report records it on its own), both specs flattened."""
+        return {"loss": self.model.loss, "model_kind": self.model.kind, "degree": self.model.degree,
+                "p": self.p, "nu": self.smoothing.nu, "smoothing": self.smoothing.kind,
+                "reg": self.reg, "train_fraction": self.train_fraction}
 
 
 def regression_metrics(targets: np.ndarray, predictions: np.ndarray) -> dict:
@@ -121,23 +124,20 @@ def fit_models(dataset: Dataset, settings: FitSettings,
     Returns the report dictionary and per-row prediction records from which
     every reported metric can be recomputed.
     """
-    # checked first, so a bad strength fails before any fit
-    spec = SmoothingSpec(settings.smoothing, settings.nu)
-    task = "classification" if settings.loss == "logistic" else "regression"
-    model = settings.model()
+    model = settings.model
     train_idx, test_idx = split_indices(dataset.n_rows, settings.train_fraction, settings.seed)
 
     loss_map = pointwise_loss_map(dataset.subset(train_idx), model)
     w0 = np.zeros(loss_map.dim)
     erm_result = minimize(erm_objective(loss_map, settings.reg), w0)
     sq_result = minimize(
-        smoothed_objective(loss_map, settings.p, spec, settings.reg), w0)
+        smoothed_objective(loss_map, settings.p, settings.smoothing, settings.reg), w0)
 
     report = {
         "experiment": "fit",
         "seed": settings.seed,
         "config": settings.config_dict(),
-        "task": task,
+        "task": model.task,
         "n_rows": dataset.n_rows,
         "n_train": int(train_idx.size),
         "n_test": int(test_idx.size),
@@ -150,7 +150,7 @@ def fit_models(dataset: Dataset, settings: FitSettings,
         entry = {
             "optim": _optim_summary(result),
             "metrics": {
-                split: _split_metrics(dataset.targets[idx], preds[idx], task)
+                split: _split_metrics(dataset.targets[idx], preds[idx], model.task)
                 for split, idx in (("train", train_idx), ("test", test_idx))
             },
         }
@@ -189,8 +189,7 @@ def run_toyreg(seed: int = 0) -> tuple[dict, list[dict]]:
     residuals, which shows up as lower upper percentiles and a higher mean.
     """
     dataset, groups = generate_quadratic(_toy_spec(seed))
-    settings = FitSettings(loss="squared", model_kind="polynomial", degree=2,
-                           p=0.9, nu=0.1, smoothing="euclidean", reg=0.0, seed=seed)
+    settings = FitSettings(model=ModelSpec(kind="polynomial", degree=2), seed=seed)
     report, predictions = fit_models(dataset, settings, groups=groups)
     report["experiment"] = "toyreg"
     return report, predictions
@@ -214,17 +213,16 @@ def run_federated(seed: int = 0) -> tuple[dict, list[dict]]:
 
     fits = {
         "erm": minimize(erm_objective(point_map), w0),
-        "superquantile": minimize(smoothed_objective(point_map, 0.9, SmoothingSpec("euclidean", 0.1)), w0),
-        "grouped_superquantile": minimize(
-            smoothed_objective(device_map, p_grouped, SmoothingSpec("euclidean", 0.1)), w0),
+        "superquantile": minimize(smoothed_objective(point_map, 0.9, STUDY_SMOOTHING), w0),
+        "grouped_superquantile": minimize(smoothed_objective(device_map, p_grouped, STUDY_SMOOTHING), w0),
     }
 
     subgroup = GroupStructure(np.where(groups.assignment == 4, 1, 0))
     report = {
         "experiment": "federated",
         "seed": seed,
-        "config": {"p_pooled": 0.9, "p_grouped": p_grouped, "nu": 0.1,
-                   "smoothing": "euclidean", "conformity_level": FEDERATED_CONFORMITY_LEVEL},
+        "config": {"p_pooled": 0.9, "p_grouped": p_grouped, "nu": STUDY_SMOOTHING.nu,
+                   "smoothing": STUDY_SMOOTHING.kind, "conformity_level": FEDERATED_CONFORMITY_LEVEL},
         "models": {},
     }
     preds = {}
@@ -259,8 +257,7 @@ def run_fairness(seed: int = 0) -> tuple[dict, list[dict]]:
 
 def run_abalone(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
     """Ridge-regularized least squares vs its tail-risk version (p = 0.98)."""
-    settings = FitSettings(loss="squared", model_kind="linear", p=0.98, nu=0.1,
-                           smoothing="euclidean", reg=1.0, seed=seed)
+    settings = FitSettings(p=0.98, reg=1.0, seed=seed)
     report, predictions = fit_models(dataset, settings)
     report["experiment"] = "abalone"
     return report, predictions
@@ -303,7 +300,7 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
     mean-loss baseline on the untouched test set.
     """
     model = ModelSpec(kind="linear", loss="logistic")
-    nu, reg = 0.1, 1.0
+    reg = 1.0
     w0 = np.zeros(dataset.features.shape[1])
     per_seed = []
     predictions: list[dict] = []
@@ -324,7 +321,7 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
         for p in CREDIT_P_GRID:
             scores = []
             for fold_map, fold_val in folds:
-                oracle = smoothed_objective(fold_map, p, SmoothingSpec("euclidean", nu), reg)
+                oracle = smoothed_objective(fold_map, p, STUDY_SMOOTHING, reg)
                 result = minimize(oracle, w0)
                 cv_not_converged += result.status != CONVERGED
                 margins = predict(fold_val, model, result.w_star)
@@ -333,7 +330,7 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
         best_p = max(CREDIT_P_GRID, key=lambda p: (cv_table[p], -p))
 
         final_map = pointwise_loss_map(shifted, model)
-        sq_result = minimize(smoothed_objective(final_map, best_p, SmoothingSpec("euclidean", nu), reg), w0)
+        sq_result = minimize(smoothed_objective(final_map, best_p, STUDY_SMOOTHING, reg), w0)
         erm_result = minimize(erm_objective(final_map, reg), w0)
 
         sq_margins = predict(test, model, sq_result.w_star)
@@ -361,8 +358,8 @@ def run_credit(dataset: Dataset, seed: int = 0) -> tuple[dict, list[dict]]:
     report = {
         "experiment": "credit",
         "seed": seed,
-        "config": {"p_grid": list(CREDIT_P_GRID), "folds": CREDIT_FOLDS, "nu": nu, "reg": reg,
-                   "downsample_ratio": CREDIT_DOWNSAMPLE_RATIO, "n_seeds": CREDIT_SEEDS},
+        "config": {"p_grid": list(CREDIT_P_GRID), "folds": CREDIT_FOLDS, "nu": STUDY_SMOOTHING.nu,
+                   "reg": reg, "downsample_ratio": CREDIT_DOWNSAMPLE_RATIO, "n_seeds": CREDIT_SEEDS},
         "per_seed": per_seed,
         "summary": {name: {key: _stats(name, key) for key in ("accuracy", "precision")}
                     for name in ("erm", "superquantile")},

@@ -63,7 +63,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Prediction function and loss: linear or univariate polynomial of given degree."""
+    """Prediction function and loss: linear or univariate polynomial of given degree.
+
+    The degree is an integer >= 1 (a bool is not one), and a linear model's
+    degree is 1.
+    """
 
     kind: str = "linear"
     degree: int = 1
@@ -72,10 +76,19 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
+        if self.kind == "linear" and self.degree != 1:
+            raise ValueError(f"a linear model has degree 1, got {self.degree}")
         if self.loss not in ("squared", "logistic"):
             raise ValueError(f"unknown loss {self.loss!r}")
+
+    @property
+    def task(self) -> str:
+        """``classification`` under the logistic loss, ``regression`` under the squared loss."""
+        return "classification" if self.loss == "logistic" else "regression"
 
 
 @dataclass(frozen=True)

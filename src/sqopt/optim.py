@@ -128,10 +128,12 @@ def minimize(oracle, w0, max_iter: int = 500) -> OptimResult:
     Wolfe conditions with ``C1`` and ``C2``, within ``MAX_LINE_SEARCH``
     trials per phase (the module docstring gives the sources of these
     values).  Termination: sup-norm of the gradient at most ``GRAD_TOL``
-    (``converged``), ``max_iter`` iterations (``max_iter``), or an unusable
-    line search (``line_search_failure``, including non-finite oracle
-    output).
+    (``converged``), ``max_iter`` iterations (``max_iter``, an integer >= 0;
+    0 returns the start), or an unusable line search
+    (``line_search_failure``, including non-finite oracle output).
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     w = np.array(w0, dtype=float).copy()
     f, g = oracle(w)
     g = np.asarray(g, dtype=float)

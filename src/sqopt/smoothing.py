@@ -461,8 +461,8 @@ class DensitySpec:
     def __post_init__(self):
         if self.kind not in ("logistic", "uniform", "gaussian"):
             raise ValueError(f"unknown density kind {self.kind!r}")
-        if self.kind == "uniform" and not self.b > self.a:
-            raise ValueError("uniform density needs a < b")
+        if self.kind == "uniform" and not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+            raise ValueError(f"uniform density needs finite a < b, got a={self.a}, b={self.b}")
         if self.kind != "uniform" and (self.a, self.b) != (-1.0, 1.0):
             raise ValueError(f"{self.kind} density has no support parameters, got a={self.a}, b={self.b}")
 

@@ -166,6 +166,29 @@ class TestFit:
         assert report["models"]["superquantile"]["optim"]["status"] == "line_search_failure"
         assert (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("flags,config", [
+        ([], {"loss": "squared", "model_kind": "linear", "degree": 1, "p": 0.9, "nu": 0.1,
+              "smoothing": "euclidean", "reg": 0.0, "train_fraction": 0.8}),
+        (["--model", "poly2", "--p", "0.8", "--nu", "0.3", "--smoothing", "kl", "--reg", "0.5",
+          "--split", "0.7"],
+         {"loss": "squared", "model_kind": "polynomial", "degree": 2, "p": 0.8, "nu": 0.3,
+          "smoothing": "kl", "reg": 0.5, "train_fraction": 0.7}),
+    ])
+    def test_config_records_every_setting(self, flags, config, regression_csv, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", regression_csv, *flags, "--seed", "3", "--out", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert report["config"] == config
+        assert report["seed"] == 3
+
+    def test_logistic_config(self, classification_csv, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", classification_csv, "--loss", "logistic", "--out", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert report["config"] == {"loss": "logistic", "model_kind": "linear", "degree": 1, "p": 0.9,
+                                    "nu": 0.1, "smoothing": "euclidean", "reg": 0.0, "train_fraction": 0.8}
+        assert report["task"] == "classification"
+
     def test_missing_data_file(self, tmp_path):
         assert run(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]) == 2
 
@@ -199,6 +222,9 @@ class TestExperiment:
         assert run(["experiment", "toyreg", "--seed", "0", "--out", str(out)]) == 0
         report = read_json(out / "report.json")
         assert report["experiment"] == "toyreg"
+        assert report["config"] == {"loss": "squared", "model_kind": "polynomial", "degree": 2, "p": 0.9,
+                                    "nu": 0.1, "smoothing": "euclidean", "reg": 0.0, "train_fraction": 0.8}
+        assert report["task"] == "regression"
         assert (out / "predictions.csv").exists()
 
     def test_missing_dataset_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -488,6 +514,16 @@ class TestBadStrengthBeforeOutput:
         assert run([*command, "--data", regression_csv, "--p", "0.9", "--nu", "-1",
                     "--out", str(tmp_path / "o")]) == 2
         assert fits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nu must be positive" in captured.err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["fit"], ["sweep-nu", "--fit-first"]])
+    def test_checked_before_the_data_is_read(self, command, tmp_path, capsys):
+        # the strength is checked before the --data file is opened
+        assert run([*command, "--data", str(tmp_path / "nosuch.csv"), "--p", "0.9", "--nu", "-1",
+                    "--out", str(tmp_path / "o")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "nu must be positive" in captured.err

@@ -44,10 +44,10 @@ class TestFitSettings:
         # smoothing strength, so the two trained models are the same model
         from sqopt.data import generate_quadratic
         from sqopt.experiments import FitSettings, fit_models, _toy_spec
+        from sqopt.models import ModelSpec
 
         dataset, _ = generate_quadratic(_toy_spec(1))
-        settings = FitSettings(loss="squared", model_kind="polynomial", degree=2,
-                               p=0.0, nu=0.1, seed=1)
+        settings = FitSettings(model=ModelSpec(kind="polynomial", degree=2), p=0.0, seed=1)
         report, _ = fit_models(dataset, settings)
         w_erm = np.array(report["models"]["erm"]["optim"]["weights"])
         w_sq = np.array(report["models"]["superquantile"]["optim"]["weights"])

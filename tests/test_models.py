@@ -60,6 +60,28 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="loss"):
             ModelSpec(loss="hinge")
 
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("kind", ["linear", "polynomial"])
+    def test_degree_must_be_an_integer(self, kind, degree):
+        # a float would reach np.vander as a TypeError, and a bool would pass for 0 or 1
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            ModelSpec(kind=kind, degree=degree)
+
+    @pytest.mark.parametrize("degree", [0, 2, 7, -1])
+    def test_linear_degree_is_one(self, degree):
+        # a linear model reads no degree, so any other value would be ignored
+        with pytest.raises(ValueError, match="linear model has degree 1"):
+            ModelSpec(kind="linear", degree=degree)
+
+    def test_numpy_integer_degree_accepted(self):
+        assert ModelSpec(kind="polynomial", degree=np.int64(3)).degree == 3
+        assert ModelSpec(kind="linear", degree=np.int64(1)) == ModelSpec()
+
+    @pytest.mark.parametrize("loss,task", [("squared", "regression"), ("logistic", "classification")])
+    def test_task_follows_the_loss(self, loss, task):
+        assert ModelSpec(loss=loss).task == task
+        assert ModelSpec(kind="polynomial", degree=2, loss=loss).task == task
+
     def test_polynomial_design(self):
         x = np.array([0.0, 1.0, 2.0])
         ds = Dataset(x[:, None], np.zeros(3))

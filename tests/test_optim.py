@@ -1,6 +1,7 @@
 """Quasi-Newton minimizer and the gradient checker."""
 
 import numpy as np
+import pytest
 
 from sqopt import (
     Dataset,
@@ -78,6 +79,18 @@ class TestMinimize:
         result = minimize(rosenbrock, np.array([-1.2, 1.0]), max_iter=3)
         assert result.status == "max_iter"
         assert result.iterations == 3
+
+    def test_zero_max_iter_returns_the_start(self):
+        result = minimize(rosenbrock, np.array([-1.2, 1.0]), max_iter=0)
+        assert result.status == "max_iter"
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.w_star, [-1.2, 1.0])
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.0, 2.5, True, None])
+    def test_max_iter_must_be_a_nonnegative_integer(self, max_iter):
+        # -1 would report status max_iter with iterations=-1
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+            minimize(rosenbrock, np.array([-1.2, 1.0]), max_iter=max_iter)
 
     def test_deterministic(self):
         oracle = toy_smoothed_oracle(seed=7)

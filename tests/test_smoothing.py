@@ -550,6 +550,13 @@ class TestConvolutionSmoothing:
         with pytest.raises(ValueError, match="unknown density"):
             DensitySpec("laplace")
 
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                     (0.0, math.nan), (math.nan, 1.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_uniform_support_must_be_a_finite_interval(self, a, b):
+        # with b = inf the pdf, cdf and smoothed positive part at 0.5 would all be 0.0, no smoothing
+        with pytest.raises(ValueError, match="finite a < b"):
+            DensitySpec("uniform", a, b)
+
     @pytest.mark.parametrize("kind", ["logistic", "gaussian"])
     @pytest.mark.parametrize("a,b", [(3.0, 9.0), (-1.0, 2.0), (0.0, 1.0)])
     def test_support_of_unbounded_density_rejected(self, kind, a, b):
