@@ -109,10 +109,10 @@ def _parse_float(text: str) -> float | None:
 def load_csv(path, task: str = "regression") -> Dataset:
     """Load a comma-delimited UTF-8 file with one header row.
 
-    The label lives in the last column.  Feature columns whose entries all
-    parse as numbers are taken as-is; any other column is one-hot encoded in
-    place, with levels ordered lexicographically.  Classification labels are
-    mapped to -1/+1 by lexicographic order of the two distinct label strings.
+    The label lives in the last column.  A feature column of numbers is taken
+    as-is, one with no number is one-hot encoded in place with levels in
+    lexicographic order, and a mix (an empty cell is text) is rejected.
+    Classification labels map to -1/+1 in lexicographic order of the two.
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
@@ -130,10 +130,13 @@ def load_csv(path, task: str = "regression") -> Dataset:
 
     columns = [[row[j] for row in body] for j in range(width)]
     feature_blocks: list[np.ndarray] = []
-    for col in columns[:-1]:
+    for name, col in zip(header, columns[:-1]):
         parsed = [_parse_float(cell) for cell in col]
-        if all(v is not None for v in parsed):
+        text = [i for i, v in enumerate(parsed) if v is None]
+        if not text:
             feature_blocks.append(np.asarray(parsed, dtype=float)[:, None])
+        elif len(text) < len(col):
+            raise ValueError(f"column {name!r} mixes numbers with text: row {text[0] + 2} holds {col[text[0]]!r}")
         else:
             levels = sorted(set(col))
             block = np.zeros((len(col), len(levels)))

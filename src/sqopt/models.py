@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .oracles import LossMap
 
@@ -156,7 +155,9 @@ def _loss_values(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
 def _loss_dz(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
     if loss == "squared":
         return z - y
-    return -y * expit(-y * z)
+    # -y times the sigmoid of x = -y z, in a form whose exponents cannot overflow
+    x = -y * z
+    return -y * np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:

@@ -50,9 +50,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri, xlogy
 
 from .core import _quantile, as_sample, check_tail, tail_cap
 
@@ -193,7 +193,8 @@ class _KL(_Divergence):
         return -self.nu * math.log1p(ratio) if ratio > -1.0 else math.inf
 
     def divergence(self, q: np.ndarray) -> float:
-        return float(xlogy(q, q * self.n).sum())
+        q = q[q != 0.0]  # 0 log 0 = 0
+        return float((q * np.log(q * self.n)).sum())
 
 
 # the smoothing kinds by name; SmoothingSpec and the command line read the names here
@@ -360,27 +361,30 @@ def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
     """Solve the scalar dual by bisection only (reference path, no Newton steps)."""
     u = as_sample(values)
     kind = _KINDS[spec.kind](spec.nu, u.size, p)
-    lo = float(u.min()) - spec.nu - 1.0
-    hi = float(u.max()) + spec.nu + 1.0
+    # centred at its minimum, the sample keeps the bracket's resolution under a large offset
+    shift = float(u.min())
+    v = u - shift
+    lo = -spec.nu - 1.0
+    hi = float(v.max()) + spec.nu + 1.0
     eps = _slope_eps(kind.p)
-    if _slope(lo, u, kind) > eps:
+    if _slope(lo, v, kind) > eps:
         span = hi - lo
         for _ in range(60):
             lo -= span
             span *= 2.0
-            if _slope(lo, u, kind) <= eps:
+            if _slope(lo, v, kind) <= eps:
                 break
-    if _slope(hi, u, kind) < -eps:
+    if _slope(hi, v, kind) < -eps:
         span = hi - lo
         for _ in range(60):
             hi += span
             span *= 2.0
-            if _slope(hi, u, kind) >= -eps:
+            if _slope(hi, v, kind) >= -eps:
                 break
-    eta = _bisect(u, kind, lo, hi)
-    s = u - eta
+    eta = _bisect(v, kind, lo, hi)
+    s = v - eta
     weights, curvature = kind.weights_and_curvature(s)
-    return _solution_at(0.0, eta, s, weights, curvature, kind, (float(weights.sum()), float(curvature.sum())))
+    return _solution_at(shift, eta, s, weights, curvature, kind, (float(weights.sum()), float(curvature.sum())))
 
 
 def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float, np.ndarray]:
@@ -480,9 +484,10 @@ class DensitySpec:
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
         if self.kind == "logistic":
-            out = expit(x_arr)
+            out = np.exp(np.minimum(x_arr, 0.0)) / (1.0 + np.exp(-np.abs(x_arr)))
         elif self.kind == "gaussian":
-            out = ndtr(x_arr)
+            # math.erfc one element at a time, as the quantile below: no fit reads the gaussian
+            out = np.vectorize(lambda v: 0.5 * math.erfc(-v / math.sqrt(2.0)), otypes=[float])(x_arr)
         else:
             out = np.clip((x_arr - self.a) / (self.b - self.a), 0.0, 1.0)
         return out if x_arr.ndim else float(out)
@@ -492,7 +497,9 @@ class DensitySpec:
         if self.kind == "logistic":
             out = np.log(t_arr) - np.log1p(-t_arr)
         elif self.kind == "gaussian":
-            out = ndtri(t_arr)
+            out = np.select([t_arr == 0.0, t_arr == 1.0], [-math.inf, math.inf], math.nan)
+            inner = (t_arr > 0.0) & (t_arr < 1.0)
+            out[inner] = [NormalDist().inv_cdf(v) for v in t_arr[inner]]
         else:
             out = self.a + t_arr * (self.b - self.a)
         return out if t_arr.ndim else float(out)
@@ -515,7 +522,7 @@ def conv_smoothed_positive_part(x, density: DensitySpec, nu: float):
     if density.kind == "logistic":
         out = nu * np.logaddexp(0.0, z)
     elif density.kind == "gaussian":
-        out = nu * (z * ndtr(z) + np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi))
+        out = nu * (z * density.cdf(z) + density.pdf(z))
     else:
         a, b = density.a, density.b
         ramp = (np.clip(z, a, b) - a) ** 2 / (2.0 * (b - a))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,13 +108,34 @@ class TestModuleEntry:
         assert proc.stdout
 
     def test_import_loads_no_quadrature_or_optimizer(self):
-        # the library needs scipy.special only; integrate and optimize are test oracles
+        # the library needs numpy only; every scipy module is a test oracle
         code = ("import sys, sqopt, sqopt.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
         proc = subprocess.run([sys.executable, "-c", code], env=self.checkout_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, classification_csv, tmp_path):
+        # an installed scipy that cannot be imported, as in an install without the test extra
+        code = f"""
+import sys
+sys.modules["scipy"] = None
+from sqopt import DensitySpec, conv_smoothed_positive_part
+from sqopt.cli import main
+assert main(["eval", "--values", "1,2,3,4", "--p", "0.5", "--nu", "0.1", "--smoothing", "kl"]) == 0
+assert main(["fit", "--data", {classification_csv!r}, "--loss", "logistic", "--out", {str(tmp_path / "fit")!r}]) == 0
+assert main(["experiment", "credit", "--synthetic", "--out", {str(tmp_path / "credit")!r}]) == 0
+print(conv_smoothed_positive_part([-1.0, 0.0, 1.0], DensitySpec("gaussian"), 1.0).tolist())
+"""
+        proc = subprocess.run([sys.executable, "-c", code], env=self.checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "fit" / "report.json").exists() and (tmp_path / "credit" / "report.json").exists()
+        from scipy.special import ndtr
+
+        expected = [x * ndtr(x) + math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) for x in (-1.0, 0.0, 1.0)]
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFit:

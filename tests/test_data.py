@@ -1,5 +1,7 @@
 """Generators, CSV ingestion, splits, distribution shift."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,18 @@ class TestLoadCsv:
         assert ds.features.shape == (3, 10)
         np.testing.assert_allclose(ds.targets, [15.0, 9.0, 10.0])
         np.testing.assert_allclose(ds.features[:, :3], np.eye(3)[[2, 0, 1]])
+
+    @pytest.mark.parametrize("column,row,cell", [
+        (["1.0", "2.0", "np.float64(3.0)", "4.0"], 4, "np.float64(3.0)"),
+        (["1", "", "3"], 3, ""),
+        (["red", "7", "blue"], 2, "red"),
+    ])
+    def test_column_mixing_numbers_and_text_rejected(self, tmp_path, column, row, cell):
+        # one stray cell would otherwise turn a numeric column into one indicator per value
+        text = "size,x,y\n" + "".join(f"{k},{c},{k}\n" for k, c in enumerate(column))
+        path = write(tmp_path, "mixed.csv", text)
+        with pytest.raises(ValueError, match=rf"column 'x' mixes numbers with text: row {row} holds '{re.escape(cell)}'"):
+            load_csv(path)
 
     def test_classification_label_mapping(self, tmp_path):
         path = write(tmp_path, "c.csv", "x,y\n1,yes\n2,no\n3,yes\n")

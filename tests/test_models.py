@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ class TestPointwiseLossMap:
         assert np.all(np.isfinite(losses))
         assert losses[0] == pytest.approx(0.0, abs=1e-300)
         assert losses[1] == pytest.approx(1e4, rel=1e-12)
+
+    def test_logistic_derivative_matches_expit(self):
+        # the sigmoid of the margin -y z against scipy's, over the range where the
+        # exp(-x) in expit's 1 / (1 + exp(-x)) does not overflow, then at +-1e3 with no warning
+        from scipy.special import expit
+
+        z = np.concatenate([np.linspace(-700.0, 700.0, 14001), np.random.default_rng(46).normal(0.0, 20.0, 5000)])
+        y = np.where(np.arange(z.size) % 2 == 0, 1.0, -1.0)
+        np.testing.assert_allclose(_loss_dz(z, y, "logistic"), -y * expit(-y * z), rtol=1e-15, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            edge = _loss_dz(np.array([-1e3, 1e3, -1e3, 1e3]), np.array([1.0, 1.0, -1.0, -1.0]), "logistic")
+        assert edge.tolist() == [-1.0, 0.0, 0.0, 1.0]
 
     def test_logistic_requires_pm_one(self):
         ds = Dataset(np.array([[1.0]]), np.array([2.0]))

@@ -1,6 +1,7 @@
 """Smoothed superquantile: conjugates, dual solver, equivalence toolkit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,22 @@ class TestDualSolver:
         sol = solver([4.0, -2.0], SmoothingSpec("kl", 0.2), 0.5)
         assert abs(sol.weights.sum() - 1.0) <= 1e-12
         assert abs(sol.value - (4.0 - 0.2 * math.log(2.0))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
+    @pytest.mark.parametrize("offset", [1e8, 1e12, 1e16])
+    def test_bisection_under_large_offset(self, kind, offset):
+        # a bracket placed at the raw sample's minimum would round away at this offset
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            u = offset + rng.normal(0.0, 1.0, 50)
+            p = float(rng.choice([0.5, 0.9]))
+            spec = SmoothingSpec(kind, float(10 ** rng.uniform(-2, 1)))
+            sol = bisect_dual(u, spec, p)
+            exact = superquantile_integral(u, p)
+            slack = 4.0 * np.finfo(float).eps * abs(exact)
+            assert sol.weights.min() >= 0.0 and sol.weights.max() <= tail_cap(u.size, p)
+            assert abs(sol.weights.sum() - 1.0) <= 1e-9
+            assert exact - spec.nu * divergence_max(spec, u.size, p) - slack <= sol.value <= exact + slack
 
     def test_errors(self):
         with pytest.raises(ValueError, match="finite"):
@@ -564,6 +581,54 @@ class TestConvolutionSmoothing:
         with pytest.raises(ValueError, match="no support parameters"):
             DensitySpec(kind, a, b)
         assert DensitySpec(kind, -1.0, 1.0) == DensitySpec(kind)
+
+
+class TestAgainstScipySpecial:
+    """The library's numpy and standard-library forms against ``scipy.special``."""
+
+    def test_logistic_cdf_is_expit(self):
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-700.0, 700.0, 14001), np.random.default_rng(47).normal(0.0, 20.0, 5000)])
+        np.testing.assert_allclose(DensitySpec("logistic").cdf(x), expit(x), rtol=1e-15, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert DensitySpec("logistic").cdf(np.array([-1e3, 1e3])).tolist() == [0.0, 1.0]
+
+    def test_gaussian_cdf_is_ndtr(self):
+        from scipy.special import ndtr
+
+        x = np.linspace(-20.0, 20.0, 40001)
+        np.testing.assert_allclose(DensitySpec("gaussian").cdf(x), ndtr(x), rtol=1e-12, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert DensitySpec("gaussian").cdf(np.array([-1e3, 1e3])).tolist() == [0.0, 1.0]
+            assert conv_smoothed_positive_part(np.array([-1e3, 1e3]), DensitySpec("gaussian"), 1.0).tolist() == \
+                [0.0, 1e3]
+
+    def test_gaussian_quantile_is_ndtri(self):
+        from scipy.special import ndtri
+
+        t = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1], 10.0 ** -np.arange(1.0, 300.0),
+                            1.0 - 10.0 ** -np.arange(1.0, 16.0)])
+        np.testing.assert_allclose(DensitySpec("gaussian").quantile_fn(t), ndtri(t), rtol=1e-14, atol=0.0)
+        edges = np.array([0.0, 1.0, -0.5, 1.5, math.nan])
+        expected = [-math.inf, math.inf, math.nan, math.nan, math.nan]
+        np.testing.assert_array_equal(ndtri(edges), expected)
+        np.testing.assert_array_equal(DensitySpec("gaussian").quantile_fn(edges), expected)
+        assert DensitySpec("gaussian").quantile_fn(0.0) == -math.inf
+
+    def test_kl_divergence_is_xlogy_sum(self):
+        from scipy.special import xlogy
+
+        rng = np.random.default_rng(48)
+        for n in (1, 2, 7, 100, 5000):
+            keep = rng.uniform(size=n) < 0.7
+            keep[0] = True
+            q = rng.dirichlet(np.ones(n)) * keep
+            q /= q.sum()
+            expected = float(xlogy(q, q * n).sum())
+            assert divergence(q, SmoothingSpec("kl", 1.0), n) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestDensityDivergenceConversions:
