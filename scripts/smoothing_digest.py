@@ -10,6 +10,22 @@ and comparing the outputs::
     PYTHONPATH=../parent/src python scripts/smoothing_digest.py > before.txt
     cmp before.txt after.txt
 
+A change that reorders the arithmetic changes the bits; ``--values`` prints
+the numbers behind each hash instead, one line per part of an output, and
+``--compare`` reads two such listings and prints the largest relative
+deviation per output and overall.  The listings are large (hundreds of MB
+at the default 2000 samples), so stream them::
+
+    PYTHONPATH=src python scripts/smoothing_digest.py --compare \
+        <(PYTHONPATH=../parent/src python scripts/smoothing_digest.py --values) \
+        <(PYTHONPATH=src python scripts/smoothing_digest.py --values)
+
+A part's deviation is ``max|a - b| / max(max|a|, max|b|, unit)``, where the
+unit is its natural scale in the case: the largest ``|u|`` (at least nu)
+for thresholds and values, the cap ``1/(n(1-p))`` for weights, their
+product for conjugate values, ``1/(1-p)`` for the dual derivative, and the
+cap (euclidean) or 1 (kl) for divergences.
+
 Each case is a seeded sample from the edge families of the solver tests
 (continuous, ties, a 1e8 offset, a 1e12 scale, constant) with n up to 3000,
 p up to 0.999999 and nu from 1e-6 to 1e6 times the scale, solved for both
@@ -21,7 +37,8 @@ NaN, and one outside the bracket, with the returned start),
 ``divergence``, ``divergence_max``, ``dual_derivative``, ``dual_objective``
 and ``smoothed_positive_part``.
 
-Usage:  python scripts/smoothing_digest.py [samples]   (default 2000)
+Usage:  python scripts/smoothing_digest.py [--values] [samples]   (default 2000)
+        python scripts/smoothing_digest.py --compare BEFORE AFTER
 """
 
 from __future__ import annotations
@@ -58,40 +75,85 @@ def digest(*parts) -> str:
 
 
 def outputs(u, spec, p, rng):
+    """Yield ``(name, parts)``; each part is ``(label, numbers, unit)``."""
     n = u.size
+    cap = 1.0 / (n * (1.0 - p))
+    loss = max(float(np.abs(u).max()), spec.nu)
+    div = cap if spec.kind == "euclidean" else 1.0
     cold = sm.solve_dual_1d(u, spec, p)
-    yield "cold", digest(cold.threshold, cold.value, cold.weights)
+    yield "cold", (("threshold", cold.threshold, loss), ("value", cold.value, loss), ("weights", cold.weights, cap))
     ref = sm.bisect_dual(u, spec, p)
-    yield "bisect", digest(ref.threshold, ref.value, ref.weights)
+    yield "bisect", (("threshold", ref.threshold, loss), ("value", ref.value, loss), ("weights", ref.weights, cap))
     _, start = sm._newton_dual(u, spec, p)
     starts = (start, start + rng.normal() * (1.0 + abs(start)), math.nan, float(u.max()) + 1e3)
     for k, guess in enumerate(starts):
         sol, back = sm._newton_dual(u, spec, p, guess)
-        yield f"warm{k}", digest(sol.threshold, sol.value, sol.weights, back)
+        yield f"warm{k}", (("threshold", sol.threshold, loss), ("value", sol.value, loss),
+                           ("weights", sol.weights, cap), ("start", back, loss))
     shifted = u - cold.threshold
-    yield "conjugate", digest(sm.scalar_conjugate(shifted, spec, n, p),
-                              sm.scalar_conjugate(float(shifted[0]), spec, n, p))
-    yield "conjugate_grad", digest(sm.scalar_conjugate_grad(shifted, spec, n, p),
-                                   sm.scalar_conjugate_grad(float(shifted[-1]), spec, n, p))
-    yield "divergence", digest(sm.divergence(cold.weights, spec, n), sm.divergence(ref.weights, spec, n))
-    yield "divergence_max", digest(sm.divergence_max(spec, n, p))
-    yield "dual_derivative", digest(sm.dual_derivative(cold.threshold, u, spec, p),
-                                    sm.dual_derivative(ref.threshold + spec.nu, u, spec, p))
-    yield "dual_objective", digest(sm.dual_objective(cold.threshold, u, spec, p),
-                                   sm.dual_objective(ref.threshold - spec.nu, u, spec, p))
-    yield "positive_part", digest(sm.smoothed_positive_part(shifted, spec, n, p))
+    yield "conjugate", (("array", sm.scalar_conjugate(shifted, spec, n, p), loss * cap),
+                        ("scalar", sm.scalar_conjugate(float(shifted[0]), spec, n, p), loss * cap))
+    yield "conjugate_grad", (("array", sm.scalar_conjugate_grad(shifted, spec, n, p), cap),
+                             ("scalar", sm.scalar_conjugate_grad(float(shifted[-1]), spec, n, p), cap))
+    yield "divergence", (("cold", sm.divergence(cold.weights, spec, n), div),
+                         ("bisect", sm.divergence(ref.weights, spec, n), div))
+    yield "divergence_max", (("value", sm.divergence_max(spec, n, p), div),)
+    yield "dual_derivative", (("cold", sm.dual_derivative(cold.threshold, u, spec, p), 1.0 / (1.0 - p)),
+                              ("shifted", sm.dual_derivative(ref.threshold + spec.nu, u, spec, p), 1.0 / (1.0 - p)))
+    yield "dual_objective", (("cold", sm.dual_objective(cold.threshold, u, spec, p), loss),
+                             ("shifted", sm.dual_objective(ref.threshold - spec.nu, u, spec, p), loss))
+    yield "positive_part", (("array", sm.smoothed_positive_part(shifted, spec, n, p), loss),)
 
 
-def main(samples: int) -> None:
+def main(samples: int, values: bool) -> None:
     rng = np.random.default_rng(11)
     perturb = np.random.default_rng(12)
     for case, (u, p, nu) in enumerate(instances(rng, samples)):
         # the kinds are spelled out so that the script also runs against
         # sources without the ``_KINDS`` registry
         for kind in ("euclidean", "kl"):
-            for name, value in outputs(u, SmoothingSpec(kind, nu), p, perturb):
-                print(case, kind, name, value)
+            for name, parts in outputs(u, SmoothingSpec(kind, nu), p, perturb):
+                if not values:
+                    print(case, kind, name, digest(*(numbers for _, numbers, _ in parts)))
+                    continue
+                for label, numbers, unit in parts:
+                    listed = " ".join(map(repr, np.atleast_1d(np.asarray(numbers, dtype=float)).tolist()))
+                    print(case, kind, f"{name}.{label}", repr(unit), listed)
+
+
+def compare(before: str, after: str) -> None:
+    """Largest relative deviation between two ``--values`` listings, per output and overall."""
+    worst = {}
+    with open(before) as a, open(after) as b:
+        for line_a, line_b in zip(a, b, strict=True):
+            case, kind, name, unit, *xs = line_a.split()
+            if line_b.split(maxsplit=3)[:3] != [case, kind, name]:
+                raise SystemExit(f"listings differ in their cases: {line_a[:60]!r} vs {line_b[:60]!r}")
+            x = np.array(xs, dtype=float)
+            y = np.array(line_b.split()[4:], dtype=float)
+            if x.shape != y.shape or not np.array_equal(np.isfinite(x), np.isfinite(y)):
+                raise SystemExit(f"case {case} {kind} {name}: shapes or non-finite entries differ")
+            finite = np.isfinite(x)
+            if not np.array_equal(x[~finite], y[~finite], equal_nan=True):
+                raise SystemExit(f"case {case} {kind} {name}: non-finite entries differ")
+            x, y = x[finite], y[finite]
+            if x.size == 0:
+                continue
+            scale = max(float(np.abs(x).max()), float(np.abs(y).max()), float(unit))
+            deviation = float(np.abs(x - y).max()) / scale if scale > 0.0 else 0.0
+            key = f"{kind} {name}"
+            if deviation >= worst.get(key, (-1.0,))[0]:
+                worst[key] = (deviation, case)
+    for key, (deviation, case) in sorted(worst.items(), key=lambda item: -item[1][0]):
+        print(f"{key:32s} {deviation:.3e}  (case {case})")
+    print(f"largest relative deviation {max(d for d, _ in worst.values()):.3e}")
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 2000)
+    args = sys.argv[1:]
+    if args[:1] == ["--compare"] and len(args) == 3:
+        compare(args[1], args[2])
+    else:
+        listing = "--values" in args
+        rest = [a for a in args if a != "--values"]
+        main(int(rest[0]) if rest else 2000, listing)

@@ -27,8 +27,10 @@ convex function of a single scalar shift with a monotone derivative.
 with one safeguarded Newton iteration: it centres the sample at its
 p-quantile, brackets the root in closed form without sorting, and takes the
 slope and the curvature from one O(n) pass per step, bisecting the bracket
-when a step leaves it or stalls.  The smoothed value comes from the weights
-and sums of the last pass.  :func:`bisect_dual` is the independent
+when a step leaves it or stalls.  Before the first pass it drops the rows
+whose weight stays at its floor over the whole bracket (the candidate filter
+of Michelot's and Condat's simplex projections), when they are many.  The
+smoothed value comes from the weights and sums of the last pass.  :func:`bisect_dual` is the independent
 bisection-only reference.
 
 The smoothed oracle (``sqopt.oracles.smoothed_objective``) solves one dual
@@ -79,6 +81,14 @@ __all__ = [
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 _NEWTON_MAX_ITER = 100
+# the filter of _newton_dual cuts this factor below lo + s_floor (both are
+# negative), so that a row within rounding of the floor stays a candidate
+_FLOOR_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+# the filter pays for its mask, gather and scatter only when it drops this
+# many rows and this share of the sample (warm solves at p = 0.9 on a 2-core
+# host: 2000 dropped rows break even for euclidean, 17% of 4e4 rows lose 3%)
+_FILTER_MIN_DROPPED = 2000
+_FILTER_MIN_SHARE = 0.25
 # points of the reconstruction check in density_from_smoothing
 _DENSITY_CHECK_POINTS = 41
 
@@ -103,7 +113,11 @@ class DualSolution:
 
     ``weights[i]`` equals the conjugate derivative evaluated at
     ``u_i - threshold`` and is the unique maximizer of the regularized dual;
-    ``value`` is the smoothed superquantile.
+    ``value`` is the smoothed superquantile.  For ``kl`` this holds up to
+    the rows that :func:`solve_dual_1d` drops: their weights are set to 0
+    where the derivative is below ``exp(-41)/n``, so all of them together
+    differ from it by less than ``exp(-41)`` (1.6e-18), below the rounding
+    of the weights' sum.
     """
 
     threshold: float
@@ -122,7 +136,10 @@ class _Divergence:
 
     A subclass sets the bracket ends ``s_uniform`` and ``s_cap``: a weight
     is ``1/n`` at the shifted value ``s = u - eta = s_uniform`` and at the
-    cap from ``s = s_cap`` on.  It defines four methods:
+    cap from ``s = s_cap`` on.  It also sets the floor ``s_floor < 0``: up
+    to ``s = s_floor`` a weight is at its floor, which is 0 for
+    ``euclidean`` and below ``exp(-41)/n`` for ``kl``, and its conjugate
+    value is ``floor_value``.  It defines four methods:
 
     * ``weights_and_curvature(s)``: the optimal weights at ``s`` and their
       curvature shares, whose sum over ``nu`` is the second derivative of
@@ -146,6 +163,8 @@ class _Euclidean(_Divergence):
     def __init__(self, nu: float, n: int, p: float):
         super().__init__(nu, n, p)
         self.s_uniform, self.s_cap = 0.0, (nu / n) * self.p / (1.0 - self.p)
+        # from s = -nu/n down the weight is exactly 0 and the value -nu d(0)
+        self.s_floor, self.floor_value = -nu / n, -0.5 * nu * (1.0 / n) ** 2
 
     def weights_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights at ``s``; a weight strictly inside ``(0, cap)`` has curvature share 1."""
@@ -169,6 +188,9 @@ class _KL(_Divergence):
     def __init__(self, nu: float, n: int, p: float):
         super().__init__(nu, n, p)
         self.s_uniform, self.s_cap = nu, nu * (1.0 - math.log1p(-self.p))
+        # from s = -40 nu down the weight exp(s/nu - 1)/n is below exp(-41)/n,
+        # and its value nu times that; both are taken as 0
+        self.s_floor, self.floor_value = -40.0 * nu, 0.0
 
     def weights_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights at ``s``; an unsaturated weight is its own curvature share."""
@@ -257,8 +279,11 @@ def _slope_eps(p: float) -> float:
     return max(1e-12, 16.0 * np.finfo(float).eps / (1.0 - p))
 
 
-def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> float:
-    """Bisection on the dual derivative, assuming slope(lo) <= 0 <= slope(hi)."""
+def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> tuple[float, float, float]:
+    """Bisection on the dual derivative, assuming slope(lo) <= 0 <= slope(hi).
+
+    Returns the last midpoint and the bracket around it.
+    """
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         s = _slope(mid, u, kind)
@@ -268,7 +293,7 @@ def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
-    return mid
+    return mid, lo, hi
 
 
 def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray,
@@ -302,6 +327,24 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
     used only when it lies strictly inside the bracket of the sample at
     hand; otherwise (``None``, NaN, infinite, or outside) the iteration
     starts cold, exactly as :func:`solve_dual_1d` does.
+
+    Before the first pass the solve drops every row whose weight is at its
+    floor for every ``eta`` the bracket allows: ``eta`` never falls below
+    ``lo = -s_cap``, so a row with ``v_i <= lo + s_floor`` keeps the floor
+    weight throughout.  A row within rounding of that cut stays.  The
+    passes then run on the remaining candidate rows, with ``n`` and the cap
+    kept at their full-sample values; the weights are scattered into zeros
+    and the dropped rows add ``floor_value`` each to the value.  The filter
+    runs only when it drops at least ``_FILTER_MIN_DROPPED`` rows and a
+    ``_FILTER_MIN_SHARE`` of the sample: below that, its own passes over the
+    sample cost more than it saves.
+
+    For ``euclidean`` the floor weight is exactly 0, so the filter drops
+    nothing the solve would weigh.  For ``kl`` a dropped row's weight is
+    below ``exp(-41)/n`` and is set to 0, so all the dropped weights
+    together hold less than ``exp(-41)`` (1.6e-18), below the rounding of
+    the weights' sum, and their value, less than ``nu`` times that, is left
+    out.
     """
     kind = _KINDS[spec.kind](spec.nu, u.size, p)
     shift = _quantile(u, p)
@@ -309,6 +352,16 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
     # at lo the p-quantile and every larger value, more than n(1-p) of them,
     # sit at the cap; at hi every weight is at most 1/n
     lo, hi = -kind.s_cap, float(v.max()) - kind.s_uniform
+    dropped = 0
+    if u.size >= _FILTER_MIN_DROPPED:
+        keep = v > (lo + kind.s_floor) * _FLOOR_SLACK
+        kept = int(np.count_nonzero(keep))
+        if u.size - kept >= max(_FILTER_MIN_DROPPED, _FILTER_MIN_SHARE * u.size):
+            # indices from the mask: gathering and scattering through them is
+            # several times faster than indexing with the mask itself
+            candidates = np.flatnonzero(keep)
+            dropped = u.size - kept
+            v = v[candidates]
     eta = -kind.s_uniform
     if start is not None and lo < start < hi:
         eta = start
@@ -338,7 +391,12 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
         eta = step
     else:
         s, weights, curvature, sums = weights_at(eta)
-    return _solution_at(shift, eta, s, weights, curvature, kind, sums), eta
+    sol = _solution_at(shift, eta, s, weights, curvature, kind, sums)
+    if dropped:
+        weights = np.zeros(u.size)
+        weights[candidates] = sol.weights
+        sol = DualSolution(threshold=sol.threshold, weights=weights, value=sol.value + dropped * kind.floor_value)
+    return sol, eta
 
 
 def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
@@ -381,10 +439,21 @@ def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
             span *= 2.0
             if _slope(hi, v, kind) >= -eps:
                 break
-    eta = _bisect(v, kind, lo, hi)
+    eta, lo, hi = _bisect(v, kind, lo, hi)
     s = v - eta
     weights, curvature = kind.weights_and_curvature(s)
-    return _solution_at(shift, eta, s, weights, curvature, kind, (float(weights.sum()), float(curvature.sum())))
+    total = float(weights.sum())
+    if abs(1.0 - total) > _BISECT_TOL:
+        # the bracket is too narrow to split, yet the sum jumps across 1
+        # inside it (many tied values at a small nu): take the point between
+        # the weights at its ends where the sum is 1
+        below, _ = kind.weights_and_curvature(v - lo)
+        above, _ = kind.weights_and_curvature(v - hi)
+        sum_below, sum_above = float(below.sum()), float(above.sum())
+        if sum_above < 1.0 < sum_below:
+            weights = below + ((sum_below - 1.0) / (sum_below - sum_above)) * (above - below)
+            total = float(weights.sum())
+    return _solution_at(shift, eta, s, weights, curvature, kind, (total, float(curvature.sum())))
 
 
 def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float, np.ndarray]:
@@ -495,7 +564,9 @@ class DensitySpec:
     def quantile_fn(self, t):
         t_arr = np.asarray(t, dtype=float)
         if self.kind == "logistic":
-            out = np.log(t_arr) - np.log1p(-t_arr)
+            # -inf at 0, +inf at 1 and NaN outside [0, 1], as the gaussian quantile
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.log(t_arr) - np.log1p(-t_arr)
         elif self.kind == "gaussian":
             out = np.select([t_arr == 0.0, t_arr == 1.0], [-math.inf, math.inf], math.nan)
             inner = (t_arr > 0.0) & (t_arr < 1.0)

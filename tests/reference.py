@@ -120,3 +120,55 @@ def conv_smoothed_positive_part_quadrature(x: float, density, nu: float,
     val, _ = quad(lambda s: (x - s) * density.pdf(s / nu) / nu, lo, hi,
                   epsabs=tol, limit=200)
     return float(val)
+
+
+def sorted_smoothed_superquantile(u, kind: str, nu: float, p: float) -> tuple[float, np.ndarray]:
+    """Smoothed superquantile value and weights by sorting, with exact sums.
+
+    Maximizes ``q @ u - nu D(q)`` over the capped simplex.  For
+    ``euclidean`` the weights are ``clip(u_i/nu + 1/n - t, 0, cap)``: the
+    sum is piecewise linear in ``t`` with breakpoints where a weight meets a
+    bound, so the root is found between two sorted breakpoints and
+    interpolated.  For ``kl`` the largest values saturate at the cap one at
+    a time (water-filling) and the rest share the remaining mass as a
+    softmax.  The sample is centred at its median first, which the value
+    then gets back.
+    """
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    cap = 1.0 / (n * (1.0 - p))
+    centre = float(np.median(u))
+    c = u - centre
+    if kind == "euclidean":
+        a = c / nu + 1.0 / n
+
+        def total(t):
+            return math.fsum(np.clip(a - t, 0.0, cap))
+
+        points = np.unique(np.concatenate([a, a - cap]))
+        sums = [total(t) for t in points]
+        if sums[0] <= 1.0:
+            # every weight below the cap at the first breakpoint: all free there
+            t, step = points[0], -(1.0 - sums[0]) / n
+        else:
+            j = next(j for j in range(1, points.size) if sums[j] <= 1.0)
+            t, s1, s2 = points[j - 1], sums[j - 1], sums[j]
+            step = (s1 - 1.0) / (s1 - s2) * (points[j] - t)
+        # the step is taken from the breakpoint, so that its resolution is
+        # not that of t itself
+        q = np.clip((a - t) - step, 0.0, cap)
+        penalty = 0.5 * math.fsum((q - 1.0 / n) ** 2)
+    else:
+        order = np.argsort(-c, kind="stable")
+        q = np.zeros(n)
+        for m in range(n):
+            rest = c[order[m:]]
+            e = np.exp((rest - rest.max()) / nu)
+            w = (1.0 - m * cap) * e / math.fsum(e)
+            if w.max() <= cap * (1.0 + 1e-15):
+                q[order[:m]] = cap
+                q[order[m:]] = np.minimum(w, cap)
+                break
+        positive = q[q > 0.0]
+        penalty = math.fsum(positive * np.log(n * positive))
+    return centre + (math.fsum(q * c) - nu * penalty), q

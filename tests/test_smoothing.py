@@ -15,6 +15,7 @@ from sqopt import (
     divergence,
     divergence_from_density,
     divergence_max,
+    quantile,
     scalar_conjugate,
     scalar_conjugate_grad,
     smoothed_positive_part,
@@ -26,7 +27,13 @@ from sqopt import (
 import sqopt.smoothing as smoothing_module
 from sqopt.smoothing import dual_derivative, dual_objective
 
-from reference import conv_smoothed_positive_part_quadrature, grid_max, project_simplex, relative_gap
+from reference import (
+    conv_smoothed_positive_part_quadrature,
+    grid_max,
+    project_simplex,
+    relative_gap,
+    sorted_smoothed_superquantile,
+)
 
 
 def random_instance(rng, max_n=60):
@@ -390,6 +397,152 @@ class TestWarmStartEdgeBattery:
             assert sol.weights.tobytes() == cold.weights.tobytes()
 
 
+def floor_rows(u, spec, p):
+    """Rows that the dual solve's filter drops by its rule: ``v_i <= lo + s_floor``.
+
+    ``v`` is the sample centred at its p-quantile and ``lo = -s_cap`` the
+    lower end of the bracket.
+    """
+    kind = smoothing_module._KINDS[spec.kind](spec.nu, u.size, p)
+    return u - quantile(u, p) <= -kind.s_cap + kind.s_floor
+
+
+def filter_instances(rng):
+    """``(label, kind, u, p, nu)``: the edge cases of the candidate filter."""
+    for kind, nu in (("euclidean", 1.0), ("kl", 0.01)):
+        # 49 rows below the quantile 5.0, most of them at the floor, one ulp
+        # on either side of it, or below it; 50 rows above the quantile
+        record = smoothing_module._KINDS[kind](nu, 100, 0.5)
+        at = 5.0 + (-record.s_cap + record.s_floor)
+        low = np.concatenate([np.full(20, at), np.full(5, np.nextafter(at, 0.0)), np.full(5, np.nextafter(at, -1.0)),
+                              5.0 + (at - 5.0) * rng.uniform(1.0, 3.0, 19)])
+        yield "ties at the floor", kind, rng.permutation(np.concatenate([low, [5.0], 5.0 + rng.uniform(0.0, 1.0, 50)])), 0.5, nu
+        # n p just above an integer: the 8 rows from the quantile 5.0 up sum
+        # to 1.0001 at the cap, so the root lies just above lo, and the two
+        # rows just above the floor carry weight there
+        record = smoothing_module._KINDS[kind](nu, 10, 0.2001)
+        above_floor = 5.0 + (-record.s_cap + record.s_floor) + np.array([0.25, 0.75]) * nu / 10
+        yield "root near lo", kind, np.concatenate([above_floor, [5.0], 5.0 + rng.uniform(0.0, 1.0, 7)]), 0.2001, nu
+    for kind in smoothing_module._KINDS:
+        yield "n = 1", kind, np.array([3.0]), 0.7, 0.5
+        yield "n = 5000", kind, rng.normal(0.0, 1.0, 5000) ** 2, 0.9, 0.01
+        yield "p = 0.999999", kind, rng.normal(0.0, 1.0, 300), 0.999999, 0.1
+        yield "huge nu", kind, rng.normal(0.0, 1.0, 300), 0.9, 1e6
+        yield "tiny nu", kind, rng.normal(0.0, 1.0, 300), 0.9, 1e-8
+        yield "1e8 offset", kind, 1e8 + rng.normal(0.0, 1.0, 300), 0.9, 0.05
+        yield "integer ties", kind, np.round(rng.normal(0.0, 2.0, 300)), 0.8, 1e-3
+
+
+class TestCandidateFilter:
+    """The dual solve drops the rows at their floor weight before its first pass.
+
+    The filter runs only when it drops enough rows to pay for itself; here
+    its gates are lowered, so that it runs on every instance.
+    """
+
+    @pytest.fixture(autouse=True)
+    def filter_always(self, monkeypatch):
+        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_DROPPED", 1)
+        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_SHARE", 0.0)
+
+    @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
+    def test_floor_bounds_the_dropped_weights(self, kind):
+        # below s_floor a weight is 0 (euclidean) or below exp(-41)/n (kl),
+        # and its value is floor_value
+        for n, p, nu in ((1, 0.0, 1.0), (7, 0.5, 0.3), (4000, 0.99, 1e-3)):
+            spec = SmoothingSpec(kind, nu)
+            record = smoothing_module._KINDS[kind](nu, n, p)
+            s = record.s_floor - np.array([0.0, 1e-9, 1.0, 1e3]) * nu
+            weights = scalar_conjugate_grad(s, spec, n, p)
+            bound = 0.0 if kind == "euclidean" else math.exp(-41.0) / n
+            assert np.all(weights <= bound)
+            floor_value = scalar_conjugate(s[0], spec, n, p)
+            # at s_floor itself a kl value is nu exp(-41)/n, up to rounding
+            assert record.floor_value == pytest.approx(floor_value, rel=1e-15, abs=(1.0 + 1e-12) * nu * bound)
+
+    def test_dropped_euclidean_weights_are_zero(self):
+        rng = np.random.default_rng(62)
+        dropped_somewhere = 0
+        for label, kind, u, p, nu in filter_instances(rng):
+            if kind != "euclidean":
+                continue
+            spec = SmoothingSpec(kind, nu)
+            dropped = floor_rows(u, spec, p)
+            dropped_somewhere += int(dropped.sum())
+            for sol in (solve_dual_1d(u, spec, p), smoothing_module._newton_dual(u, spec, p, 0.0)[0]):
+                assert np.all(sol.weights[dropped] == 0.0), label
+        assert dropped_somewhere > 0
+
+    def test_dropped_kl_mass_is_below_bound(self):
+        rng = np.random.default_rng(63)
+        dropped_somewhere = 0
+        for label, kind, u, p, nu in filter_instances(rng):
+            if kind != "kl":
+                continue
+            spec = SmoothingSpec(kind, nu)
+            dropped = floor_rows(u, spec, p)
+            dropped_somewhere += int(dropped.sum())
+            sol = solve_dual_1d(u, spec, p)
+            # what the dropped rows would weigh at the solution's threshold
+            exact = scalar_conjugate_grad(u[dropped] - sol.threshold, spec, u.size, p)
+            assert exact.sum() < math.exp(-41.0), label
+            assert np.all(sol.weights[dropped] <= math.exp(-41.0) / u.size), label
+        assert dropped_somewhere > 0
+
+    def test_agrees_with_bisection_and_sorted_reference(self):
+        rng = np.random.default_rng(64)
+        eps = np.finfo(float).eps
+        for label, kind, u, p, nu in filter_instances(rng):
+            spec = SmoothingSpec(kind, nu)
+            sol = solve_dual_1d(u, spec, p)
+            cap = tail_cap(u.size, p)
+            value, weights = sorted_smoothed_superquantile(u, kind, nu, p)
+            # 4 eps nu: the KL value at large nu is known to be off by about eps nu
+            slack = 1e-12 * max(1.0, abs(value)) + 4.0 * eps * nu
+            ref = bisect_dual(u, spec, p)
+            for other_value, other_weights in ((value, weights), (ref.value, ref.weights)):
+                assert abs(sol.value - other_value) <= slack, (label, kind)
+                assert np.abs(sol.weights - other_weights).max() <= 1e-12 * cap, (label, kind)
+            assert abs(sol.weights.sum() - 1.0) <= 1e-12, (label, kind)
+
+    def test_matches_the_unfiltered_solve(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        instances = list(filter_instances(rng))
+        filtered = [(solve_dual_1d(u, SmoothingSpec(kind, nu), p), floor_rows(u, SmoothingSpec(kind, nu), p))
+                    for _, kind, u, p, nu in instances]
+        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_DROPPED", math.inf)
+        for (label, kind, u, p, nu), (sol, dropped) in zip(instances, filtered):
+            full = solve_dual_1d(u, SmoothingSpec(kind, nu), p)
+            cap = tail_cap(u.size, p)
+            if not dropped.any():
+                # the filter drops a subset of these rows; with none, the same passes on the same rows
+                assert sol.value == full.value and sol.threshold == full.threshold, (label, kind)
+                assert sol.weights.tobytes() == full.weights.tobytes(), (label, kind)
+            assert abs(sol.value - full.value) <= 4.0 * np.finfo(float).eps * max(1.0, abs(full.value)), (label, kind)
+            assert np.abs(sol.weights - full.weights).max() <= 1e-12 * cap, (label, kind)
+
+
+class TestFilterGates:
+    @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
+    def test_filter_runs_only_where_it_pays(self, kind, monkeypatch):
+        # a small sample, or one where a tenth of the rows sit at the floor,
+        # runs the passes on every row; a large one that drops most does not
+        rng = np.random.default_rng(66)
+        spec = SmoothingSpec(kind, 0.01)
+        tenth_low = np.concatenate([np.zeros(4000), 1.0 + rng.uniform(0.0, 1e-7, 36000)])
+        cases = {"n = 160": (rng.normal(0.0, 1.0, 160) ** 2, False),
+                 "a tenth dropped": (rng.permutation(tenth_low), False),
+                 "n = 40000": (rng.normal(0.0, 1.0, 40000) ** 2, True)}
+        gathered = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda mask: gathered.append(mask.size) or flatnonzero(mask))
+        for label, (u, filtered) in cases.items():
+            gathered.clear()
+            sol = solve_dual_1d(u, spec, 0.9)
+            assert bool(gathered) == filtered, label
+            assert abs(sol.weights.sum() - 1.0) <= 1e-12, label
+
+
 class TestApproximationQuality:
     @pytest.mark.parametrize("kind", ["euclidean", "kl"])
     def test_sandwich_bound(self, kind):
@@ -617,6 +770,16 @@ class TestAgainstScipySpecial:
         np.testing.assert_array_equal(ndtri(edges), expected)
         np.testing.assert_array_equal(DensitySpec("gaussian").quantile_fn(edges), expected)
         assert DensitySpec("gaussian").quantile_fn(0.0) == -math.inf
+
+    def test_logistic_quantile_edges_are_silent(self):
+        # the suite turns RuntimeWarning into an error, so a warning at an end fails here
+        logistic = DensitySpec("logistic")
+        edges = np.array([0.0, 1.0, -0.5, 1.5, math.nan])
+        np.testing.assert_array_equal(logistic.quantile_fn(edges), [-math.inf, math.inf, math.nan, math.nan, math.nan])
+        assert logistic.quantile_fn(0.0) == -math.inf and logistic.quantile_fn(1.0) == math.inf
+        assert math.isnan(logistic.quantile_fn(1.5))
+        t = np.linspace(0.0, 1.0, 101)[1:-1]
+        np.testing.assert_allclose(logistic.cdf(logistic.quantile_fn(t)), t, rtol=1e-14, atol=0.0)
 
     def test_kl_divergence_is_xlogy_sum(self):
         from scipy.special import xlogy
