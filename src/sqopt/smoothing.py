@@ -29,9 +29,9 @@ p-quantile, brackets the root in closed form without sorting, and takes the
 slope and the curvature from one O(n) pass per step, bisecting the bracket
 when a step leaves it or stalls.  Before the first pass it drops the rows
 whose weight stays at its floor over the whole bracket (the candidate filter
-of Michelot's and Condat's simplex projections), when they are many.  The
-smoothed value comes from the weights and sums of the last pass.  :func:`bisect_dual` is the independent
-bisection-only reference.
+of Michelot's and Condat's simplex projections).  The smoothed value comes
+from the weights and sums of the last pass.  :func:`bisect_dual` is the
+independent bisection-only reference.
 
 The smoothed oracle (``sqopt.oracles.smoothed_objective``) solves one dual
 per call on losses that move little from call to call, so it warm-starts
@@ -84,11 +84,10 @@ _NEWTON_MAX_ITER = 100
 # the filter of _newton_dual cuts this factor below lo + s_floor (both are
 # negative), so that a row within rounding of the floor stays a candidate
 _FLOOR_SLACK = 1.0 + 8.0 * np.finfo(float).eps
-# the filter pays for its mask, gather and scatter only when it drops this
-# many rows and this share of the sample (warm solves at p = 0.9 on a 2-core
-# host: 2000 dropped rows break even for euclidean, 17% of 4e4 rows lose 3%)
-_FILTER_MIN_DROPPED = 2000
-_FILTER_MIN_SHARE = 0.25
+# below this sample size the filter's mask, gather and scatter cost more than
+# the passes it shortens (3.5-6 us more on a 22-35 us warm euclidean solve
+# at n = 160, p = 0.9, on a 2-core host; at n = 1e3 about even)
+_FILTER_MIN_SIZE = 2000
 # points of the reconstruction check in density_from_smoothing
 _DENSITY_CHECK_POINTS = 41
 
@@ -335,9 +334,8 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
     passes then run on the remaining candidate rows, with ``n`` and the cap
     kept at their full-sample values; the weights are scattered into zeros
     and the dropped rows add ``floor_value`` each to the value.  The filter
-    runs only when it drops at least ``_FILTER_MIN_DROPPED`` rows and a
-    ``_FILTER_MIN_SHARE`` of the sample: below that, its own passes over the
-    sample cost more than it saves.
+    runs only on samples of at least ``_FILTER_MIN_SIZE`` rows: on smaller
+    ones its mask, gather and scatter cost more than they save.
 
     For ``euclidean`` the floor weight is exactly 0, so the filter drops
     nothing the solve would weigh.  For ``kl`` a dropped row's weight is
@@ -353,14 +351,13 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
     # sit at the cap; at hi every weight is at most 1/n
     lo, hi = -kind.s_cap, float(v.max()) - kind.s_uniform
     dropped = 0
-    if u.size >= _FILTER_MIN_DROPPED:
+    if u.size >= _FILTER_MIN_SIZE:
         keep = v > (lo + kind.s_floor) * _FLOOR_SLACK
-        kept = int(np.count_nonzero(keep))
-        if u.size - kept >= max(_FILTER_MIN_DROPPED, _FILTER_MIN_SHARE * u.size):
+        dropped = u.size - int(np.count_nonzero(keep))
+        if dropped:
             # indices from the mask: gathering and scattering through them is
             # several times faster than indexing with the mask itself
             candidates = np.flatnonzero(keep)
-            dropped = u.size - kept
             v = v[candidates]
     eta = -kind.s_uniform
     if start is not None and lo < start < hi:

@@ -436,14 +436,13 @@ def filter_instances(rng):
 class TestCandidateFilter:
     """The dual solve drops the rows at their floor weight before its first pass.
 
-    The filter runs only when it drops enough rows to pay for itself; here
-    its gates are lowered, so that it runs on every instance.
+    The filter runs only on samples large enough to pay for it; here the
+    size gate is lowered, so that it runs on every instance.
     """
 
     @pytest.fixture(autouse=True)
     def filter_always(self, monkeypatch):
-        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_DROPPED", 1)
-        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_SHARE", 0.0)
+        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_SIZE", 1)
 
     @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
     def test_floor_bounds_the_dropped_weights(self, kind):
@@ -510,7 +509,7 @@ class TestCandidateFilter:
         instances = list(filter_instances(rng))
         filtered = [(solve_dual_1d(u, SmoothingSpec(kind, nu), p), floor_rows(u, SmoothingSpec(kind, nu), p))
                     for _, kind, u, p, nu in instances]
-        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_DROPPED", math.inf)
+        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_SIZE", math.inf)
         for (label, kind, u, p, nu), (sol, dropped) in zip(instances, filtered):
             full = solve_dual_1d(u, SmoothingSpec(kind, nu), p)
             cap = tail_cap(u.size, p)
@@ -522,25 +521,20 @@ class TestCandidateFilter:
             assert np.abs(sol.weights - full.weights).max() <= 1e-12 * cap, (label, kind)
 
 
-class TestFilterGates:
+class TestFilterGate:
     @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
-    def test_filter_runs_only_where_it_pays(self, kind, monkeypatch):
-        # a small sample, or one where a tenth of the rows sit at the floor,
-        # runs the passes on every row; a large one that drops most does not
+    def test_filter_runs_only_on_large_samples(self, kind, monkeypatch):
         rng = np.random.default_rng(66)
         spec = SmoothingSpec(kind, 0.01)
-        tenth_low = np.concatenate([np.zeros(4000), 1.0 + rng.uniform(0.0, 1e-7, 36000)])
-        cases = {"n = 160": (rng.normal(0.0, 1.0, 160) ** 2, False),
-                 "a tenth dropped": (rng.permutation(tenth_low), False),
-                 "n = 40000": (rng.normal(0.0, 1.0, 40000) ** 2, True)}
         gathered = []
         flatnonzero = np.flatnonzero
         monkeypatch.setattr(np, "flatnonzero", lambda mask: gathered.append(mask.size) or flatnonzero(mask))
-        for label, (u, filtered) in cases.items():
+        for n, filtered in ((160, False), (smoothing_module._FILTER_MIN_SIZE - 1, False),
+                            (smoothing_module._FILTER_MIN_SIZE, True)):
             gathered.clear()
-            sol = solve_dual_1d(u, spec, 0.9)
-            assert bool(gathered) == filtered, label
-            assert abs(sol.weights.sum() - 1.0) <= 1e-12, label
+            sol = solve_dual_1d(rng.normal(0.0, 1.0, n) ** 2, spec, 0.9)
+            assert bool(gathered) == filtered, n
+            assert abs(sol.weights.sum() - 1.0) <= 1e-12, n
 
 
 class TestApproximationQuality:
