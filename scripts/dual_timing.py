@@ -6,9 +6,11 @@ with a heteroscedastic scale, as the regression fits produce) and times
 
 * ``exact``: the exact superquantile ``sqopt.superquantile``;
 * ``cold``: ``solve_dual_1d`` with no start;
-* ``warm``: ``_newton_dual`` on the sample moved by a relative 1e-3, from
-  the threshold of the solve on the unmoved sample, as the smoothed oracle
-  calls it along a fit;
+* ``warm``: ``solve_dual_1d`` on the sample moved by a relative 1e-3, from
+  the ``start`` of the solve on the unmoved sample, as the smoothed oracle
+  calls it along a fit (in a source from before ``DualSolution.start``,
+  the private ``_newton_dual`` its oracle called, without the sample check
+  that oracle made itself);
 
 for both divergences at p = 0.9 and three nu each.  Every solve is checked
 against ``bisect_dual``: the values must agree within ``1e-12 max(1, |value|)
@@ -115,6 +117,18 @@ def check(label: str, sol, u: np.ndarray, spec: SmoothingSpec) -> list[str]:
     return problems
 
 
+def warm_solver(tree):
+    """The dual solve of ``tree`` that takes a start, and a map from its result to ``(solution, start)``.
+
+    A source from before ``DualSolution.start`` has the warm start only in
+    the private ``_newton_dual``, which returns that pair and leaves the
+    sample check to its caller, the oracle.
+    """
+    if hasattr(tree.smoothing, "_newton_dual"):
+        return tree.smoothing._newton_dual, lambda pair: pair
+    return tree.solve_dual_1d, lambda sol: (sol, sol.start)
+
+
 def candidate_share(u: np.ndarray, spec: SmoothingSpec) -> float | None:
     """Share of rows above the filter's floor, or None for a source without the filter."""
     kind = sm._KINDS[spec.kind](spec.nu, u.size, P)
@@ -142,11 +156,12 @@ def main(sizes, repeat: int, seed: int, against: str | None) -> int:
                     spec = tree.SmoothingSpec(kind, nu)
                     name = f"{label} {kind} nu={nu} n={n}"
                     problems += check(f"cold {name}", tree.solve_dual_1d(u, spec, P), u, SmoothingSpec(kind, nu))
-                    _, start = tree.smoothing._newton_dual(u, spec, P)
-                    problems += check(f"warm {name}", tree.smoothing._newton_dual(moved, spec, P, start)[0],
+                    solve, unpack = warm_solver(tree)
+                    _, start = unpack(solve(u, spec, P))
+                    problems += check(f"warm {name}", unpack(solve(moved, spec, P, start))[0],
                                       moved, SmoothingSpec(kind, nu))
                     cold[label] = lambda tree=tree, spec=spec: tree.solve_dual_1d(u, spec, P)
-                    warm[label] = lambda tree=tree, spec=spec, start=start: tree.smoothing._newton_dual(moved, spec, P, start)
+                    warm[label] = lambda solve=solve, spec=spec, start=start: solve(moved, spec, P, start)
                 rows.append({"layer": "cold", "kind": kind, "nu": nu, "n": n, **timed(cold, repeat)})
                 rows.append({"layer": "warm", "kind": kind, "nu": nu, "n": n, **timed(warm, repeat)})
                 share = candidate_share(moved, SmoothingSpec(kind, nu))

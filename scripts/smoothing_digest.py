@@ -31,8 +31,9 @@ Each case is a seeded sample from the edge families of the solver tests
 p up to 0.999999 and nu from 1e-6 to 1e6 times the scale, solved for both
 divergences.  The outputs are hashes of the exact bytes of: the cold
 ``solve_dual_1d`` and ``bisect_dual`` solutions (threshold, value, weights),
-four warm-started ``_newton_dual`` solves (its own start, a perturbed one,
-NaN, and one outside the bracket, with the returned start),
+four warm-started ``solve_dual_1d`` solves (passing ``start=`` the cold
+solution's ``start``, a perturbed one, NaN, and one outside the bracket,
+each with the ``start`` it returns),
 ``scalar_conjugate`` and ``scalar_conjugate_grad`` on arrays and scalars,
 ``divergence``, ``divergence_max``, ``dual_derivative``, ``dual_objective``
 and ``smoothed_positive_part``.
@@ -74,6 +75,18 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+def warm_solve(u, spec, p, start=None):
+    """``solve_dual_1d`` from ``start``, and the solution's ``start``.
+
+    A source from before ``DualSolution.start`` has the warm start only in
+    the private ``_newton_dual``, which returns the same pair.
+    """
+    if hasattr(sm, "_newton_dual"):
+        return sm._newton_dual(u, spec, p, start)
+    sol = sm.solve_dual_1d(u, spec, p, start=start)
+    return sol, sol.start
+
+
 def outputs(u, spec, p, rng):
     """Yield ``(name, parts)``; each part is ``(label, numbers, unit)``."""
     n = u.size
@@ -84,10 +97,10 @@ def outputs(u, spec, p, rng):
     yield "cold", (("threshold", cold.threshold, loss), ("value", cold.value, loss), ("weights", cold.weights, cap))
     ref = sm.bisect_dual(u, spec, p)
     yield "bisect", (("threshold", ref.threshold, loss), ("value", ref.value, loss), ("weights", ref.weights, cap))
-    _, start = sm._newton_dual(u, spec, p)
+    _, start = warm_solve(u, spec, p)
     starts = (start, start + rng.normal() * (1.0 + abs(start)), math.nan, float(u.max()) + 1e3)
     for k, guess in enumerate(starts):
-        sol, back = sm._newton_dual(u, spec, p, guess)
+        sol, back = warm_solve(u, spec, p, guess)
         yield f"warm{k}", (("threshold", sol.threshold, loss), ("value", sol.value, loss),
                            ("weights", sol.weights, cap), ("start", back, loss))
     shifted = u - cold.threshold

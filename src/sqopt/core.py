@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonFiniteSample",
     "TailSplit",
     "as_sample",
     "check_tail",
@@ -36,15 +37,22 @@ __all__ = [
 ]
 
 
+class NonFiniteSample(ValueError):
+    """A sample holds an infinite or NaN value; raised by :func:`as_sample` only."""
+
+
 def as_sample(values) -> np.ndarray:
-    """Validate and convert ``values`` to a 1-d float array of finite losses."""
+    """Validate and convert ``values`` to a 1-d float array of finite losses.
+
+    An inf or NaN value raises :class:`NonFiniteSample`, any other defect ``ValueError``.
+    """
     u = np.atleast_1d(np.asarray(values, dtype=float))
     if u.ndim != 1:
         raise ValueError(f"sample must be one-dimensional, got shape {u.shape}")
     if u.size == 0:
         raise ValueError("empty sample")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("sample values must be finite")
+    if not np.isfinite(u).all():
+        raise NonFiniteSample("sample values must be finite")
     return u
 
 
@@ -117,9 +125,12 @@ def superquantile_integral(values, p: float) -> float:
     u = as_sample(values)
     p = check_tail(p)
     n = u.size
-    split = tail_split(u, p)
-    tail_sum = float(u[split.above].sum()) / (n * (1.0 - p))
-    return float(tail_sum + split.cdf_gap / (1.0 - p) * split.quantile)
+    # tail_split's quantile, mask and gap, without a second check or the tied indices
+    q = _quantile(u, p)
+    above = u > q
+    tail_sum = float(u[above].sum()) / (n * (1.0 - p))
+    gap = (n - int(np.count_nonzero(above))) / n - p
+    return float(tail_sum + gap / (1.0 - p) * q)
 
 
 superquantile = superquantile_integral

@@ -6,6 +6,11 @@ objective is differentiable except where several losses tie with the
 p-quantile; :func:`subdifferential` returns the full structured set there,
 while :func:`smoothed_value_grad` evaluates the smooth surrogate whose
 gradient is a single weighted adjoint application.
+
+The smoothed oracle calls ``solve_dual_1d`` once per call, through the name
+bound here, and hands each solution's ``start`` to the next solve.  Its
+``as_sample`` is the call's one finiteness check: a ``NonFiniteSample``
+becomes the value ``inf`` and a NaN gradient, a failed step for ``minimize``.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import check_tail, tail_split
-from .smoothing import SmoothingSpec, _newton_dual
-from .smoothing import solve_dual_1d  # noqa: F401  (perfbench/spans.py wraps this name here)
+from .core import NonFiniteSample, as_sample, check_tail, tail_split
+from .smoothing import SmoothingSpec, solve_dual_1d
 
 __all__ = [
     "LossMap",
@@ -78,16 +82,10 @@ class SubdifferentialDescription:
         return len(self.extreme_gradients) <= 1
 
 
-def _finite_losses(loss_map: LossMap, w: np.ndarray) -> np.ndarray | None:
-    # a trial step can overflow the losses; the None result is the report
+def _losses(loss_map: LossMap, w: np.ndarray):
+    # a trial step can overflow the losses; as_sample reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.asarray(loss_map.eval(w), dtype=float)
-    return u if np.all(np.isfinite(u)) else None
-
-
-def _non_finite(w: np.ndarray) -> tuple[float, np.ndarray]:
-    # read by ``minimize`` as a failed trial step, not raised
-    return math.inf, np.full(w.shape, np.nan)
+        return loss_map.eval(w)
 
 
 def _objective(loss_map: LossMap, reg: float,
@@ -95,10 +93,11 @@ def _objective(loss_map: LossMap, reg: float,
                ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` of a risk of the losses plus ``reg/(2n) ||w||^2``.
 
-    ``value_weights`` maps the finite loss vector to the risk and to the
-    weights whose adjoint image is the risk's gradient.  Exactly one
-    ``eval`` and one ``adjoint_apply`` per call; non-finite losses give the
-    value ``inf`` and a NaN gradient, without an ``adjoint_apply``.
+    ``value_weights`` checks the loss vector with ``as_sample`` and maps it
+    to the risk and to the weights whose adjoint image is the risk's
+    gradient.  Exactly one ``eval`` and one ``adjoint_apply`` per call;
+    non-finite losses give the value ``inf`` and a NaN gradient, without an
+    ``adjoint_apply``, and an empty or multi-dimensional loss vector raises.
     """
     if not reg >= 0.0:
         raise ValueError(f"reg must be nonnegative, got {reg}")
@@ -108,10 +107,11 @@ def _objective(loss_map: LossMap, reg: float,
 
     def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(w, dtype=float)
-        u = _finite_losses(loss_map, w)
-        if u is None:
-            return _non_finite(w)
-        value, weights = value_weights(u)
+        try:
+            value, weights = value_weights(_losses(loss_map, w))
+        except NonFiniteSample:
+            # read by ``minimize`` as a failed trial step, not raised
+            return math.inf, np.full(w.shape, np.nan)
         grad = np.asarray(loss_map.adjoint_apply(w, weights), dtype=float)
         return value + 0.5 * reg / n * float(w @ w), grad + (reg / n) * w
 
@@ -127,9 +127,10 @@ def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescriptio
     """
     w = np.asarray(w, dtype=float)
     p = check_tail(p)
-    u = _finite_losses(loss_map, w)
-    if u is None:
-        raise ValueError("loss map returned non-finite values")
+    try:
+        u = as_sample(_losses(loss_map, w))
+    except NonFiniteSample:
+        raise ValueError("loss map returned non-finite values") from None
     n = u.size
     split = tail_split(u, p)
 
@@ -174,22 +175,22 @@ def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
                        reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` for the ridge-regularized smoothed objective.
 
-    ``p`` is checked here, when the closure is built, as ``reg`` is.  The
-    closure carries state: it keeps the last dual solve's threshold,
-    measured from the p-quantile of those losses, and starts the next
-    solve's Newton iteration there, which saves a quarter to a half of the
-    passes over the losses along a solver's path.  A closure fed the same sequence of
-    points replays the same values bit for bit, and each call agrees with a
-    cold solve (:func:`smoothed_value_grad`) to rounding.  Use one closure
-    per fit and per thread.
+    ``p`` is checked here, when the closure is built, as ``reg`` is.  Each
+    call makes one ``solve_dual_1d``, whose ``as_sample`` checks the losses.
+    The closure carries state: it keeps the last solution's ``start`` and
+    starts the next solve's Newton iteration there, which saves a quarter
+    to a half of the passes over the losses along a solver's path.  A
+    closure fed the same sequence of points replays the same values bit for
+    bit, and each call agrees with a cold solve (:func:`smoothed_value_grad`)
+    to rounding.  Use one closure per fit and per thread.
     """
     p = check_tail(p)
     start = None
 
-    def value_weights(u: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_weights(u) -> tuple[float, np.ndarray]:
         nonlocal start
-        # _finite_losses has checked u, so the dual solve skips as_sample
-        sol, start = _newton_dual(u, spec, p, start)
+        sol = solve_dual_1d(u, spec, p, start=start)
+        start = sol.start
         return sol.value, sol.weights
 
     return _objective(loss_map, reg, value_weights)
@@ -197,7 +198,12 @@ def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
 
 def erm_objective(loss_map: LossMap, reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` for the ridge-regularized mean loss."""
-    return _objective(loss_map, reg, lambda u: (float(u.mean()), np.full(u.size, 1.0 / u.size)))
+
+    def value_weights(u) -> tuple[float, np.ndarray]:
+        u = as_sample(u)
+        return float(u.mean()), np.full(u.size, 1.0 / u.size)
+
+    return _objective(loss_map, reg, value_weights)
 
 
 def finite_difference_grad(value_fn: Callable[[np.ndarray], float], w) -> np.ndarray:

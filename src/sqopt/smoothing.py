@@ -33,12 +33,13 @@ of Michelot's and Condat's simplex projections).  The smoothed value comes
 from the weights and sums of the last pass.  :func:`bisect_dual` is the
 independent bisection-only reference.
 
-The smoothed oracle (``sqopt.oracles.smoothed_objective``) solves one dual
-per call on losses that move little from call to call, so it warm-starts
-the iteration: it passes the previous solution's threshold, measured from
-that sample's p-quantile, and the solver takes it when it lies strictly
-inside the new bracket.  Bracket, safeguards and stopping rule are those of
-a cold solve, so a warm-started solution agrees with a cold one to rounding.
+The smoothed oracle (``sqopt.oracles.smoothed_objective``) calls
+:func:`solve_dual_1d` once per call on losses that move little from call to
+call, so it warm-starts the iteration: it passes the previous solution's
+``start``, its threshold measured from that sample's p-quantile, and the
+solver takes it when it lies strictly inside the new bracket.  Bracket,
+safeguards and stopping rule are those of a cold solve, so a warm-started
+solution agrees with a cold one to rounding.
 
 The module also hosts the equivalence toolkit between this smoothing and the
 classical smoothing of the positive part: ``smoothed_positive_part`` (one
@@ -81,7 +82,7 @@ __all__ = [
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 _NEWTON_MAX_ITER = 100
-# the filter of _newton_dual cuts this factor below lo + s_floor (both are
+# the filter of solve_dual_1d cuts this factor below lo + s_floor (both are
 # negative), so that a row within rounding of the floor stays a candidate
 _FLOOR_SLACK = 1.0 + 8.0 * np.finfo(float).eps
 # below this sample size the filter's mask, gather and scatter cost more than
@@ -117,11 +118,16 @@ class DualSolution:
     where the derivative is below ``exp(-41)/n``, so all of them together
     differ from it by less than ``exp(-41)`` (1.6e-18), below the rounding
     of the weights' sum.
+
+    ``start`` is the threshold measured from the sample's p-quantile, the
+    warm start of :func:`solve_dual_1d` on a nearby sample; it is NaN, a
+    cold start, for a :func:`bisect_dual` solution.
     """
 
     threshold: float
     weights: np.ndarray
     value: float
+    start: float = math.nan
 
 
 def _check_count(n) -> None:
@@ -296,8 +302,8 @@ def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> tuple[flo
 
 
 def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray,
-                 kind: _Divergence, sums: tuple[float, float]) -> DualSolution:
-    """Threshold ``shift + eta``, weights and value from a solve's last pass at ``s = v - eta``.
+                 kind: _Divergence, sums: tuple[float, float]) -> tuple[np.ndarray, float]:
+    """Weights and value of the threshold ``shift + eta`` from a solve's last pass at ``s = v - eta``.
 
     ``sums`` are that pass's ``weights.sum()`` and ``curvature.sum()``.
     """
@@ -312,40 +318,41 @@ def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray, c
         adjusted = weights - (resid / total) * curvature
         if adjusted.min() >= 0.0 and adjusted.max() <= kind.cap:
             weights = adjusted
-    return DualSolution(threshold=float(shift + eta), weights=weights, value=value)
+    return weights, value
 
 
-def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
-                 start: float | None = None) -> tuple[DualSolution, float]:
-    """:func:`solve_dual_1d` on a checked sample and tail, from an optional start.
+def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = None) -> DualSolution:
+    """Minimize the scalar dual of the smoothed superquantile, from an optional start.
 
-    ``start`` is a threshold measured from the sample's p-quantile; the
-    second result is the solution's threshold measured the same way, the
-    start for a solve on a nearby sample.  Measured from the quantile, the
-    threshold follows the losses when they move as a whole.  The start is
-    used only when it lies strictly inside the bracket of the sample at
-    hand; otherwise (``None``, NaN, infinite, or outside) the iteration
-    starts cold, exactly as :func:`solve_dual_1d` does.
+    The dual derivative ``1 - sum(weights)`` is non-decreasing in the shift
+    ``eta``, and one safeguarded Newton iteration finds its root for both
+    divergences.  The sample is centred at its p-quantile, so that the shift
+    keeps its resolution under a large common offset.  The iteration starts
+    where the p-quantile has weight ``1/n``, inside a bracket whose ends are
+    known in closed form.  Each pass over the sample gives the derivative
+    and the curvature.  The iteration bisects the bracket instead of taking
+    the Newton step when that step leaves the bracket or has no root, or
+    when the derivative did not halve since the previous pass.
 
-    Before the first pass the solve drops every row whose weight is at its
-    floor for every ``eta`` the bracket allows: ``eta`` never falls below
-    ``lo = -s_cap``, so a row with ``v_i <= lo + s_floor`` keeps the floor
-    weight throughout.  A row within rounding of that cut stays.  The
-    passes then run on the remaining candidate rows, with ``n`` and the cap
-    kept at their full-sample values; the weights are scattered into zeros
-    and the dropped rows add ``floor_value`` each to the value.  The filter
-    runs only on samples of at least ``_FILTER_MIN_SIZE`` rows: on smaller
-    ones its mask, gather and scatter cost more than they save.
+    ``start``, a threshold measured from the sample's p-quantile such as a
+    nearby sample's ``DualSolution.start``, replaces the cold start when it
+    lies strictly inside the bracket (not ``None``, NaN or infinite).
+    Measured from the quantile, it follows losses that move as a whole.
 
-    For ``euclidean`` the floor weight is exactly 0, so the filter drops
-    nothing the solve would weigh.  For ``kl`` a dropped row's weight is
-    below ``exp(-41)/n`` and is set to 0, so all the dropped weights
-    together hold less than ``exp(-41)`` (1.6e-18), below the rounding of
-    the weights' sum, and their value, less than ``nu`` times that, is left
-    out.
+    Before the first pass, on samples of at least ``_FILTER_MIN_SIZE`` rows
+    (below it the mask, gather and scatter cost more than they save), the
+    solve drops the rows at their floor weight for every ``eta >= lo =
+    -s_cap``: those with ``v_i <= lo + s_floor``, less a rounding margin.
+    The passes run on the candidates, with the full sample's ``n`` and cap;
+    a dropped row gets weight 0 and adds ``floor_value`` to the value.  For
+    ``euclidean`` that is its exact weight.  For ``kl`` the dropped weights
+    are each below ``exp(-41)/n``, so together they hold less than
+    ``exp(-41)`` (1.6e-18), below the rounding of the weights' sum, and
+    their value, less than ``nu`` times that, is left out.
     """
+    u = as_sample(values)
     kind = _KINDS[spec.kind](spec.nu, u.size, p)
-    shift = _quantile(u, p)
+    shift = _quantile(u, kind.p)
     v = u - shift
     # at lo the p-quantile and every larger value, more than n(1-p) of them,
     # sit at the cap; at hi every weight is at most 1/n
@@ -362,7 +369,7 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
     eta = -kind.s_uniform
     if start is not None and lo < start < hi:
         eta = start
-    tol = _slope_eps(p)
+    tol = _slope_eps(kind.p)
     previous = math.inf
 
     def weights_at(eta):
@@ -388,28 +395,12 @@ def _newton_dual(u: np.ndarray, spec: SmoothingSpec, p: float,
         eta = step
     else:
         s, weights, curvature, sums = weights_at(eta)
-    sol = _solution_at(shift, eta, s, weights, curvature, kind, sums)
+    weights, value = _solution_at(shift, eta, s, weights, curvature, kind, sums)
     if dropped:
-        weights = np.zeros(u.size)
-        weights[candidates] = sol.weights
-        sol = DualSolution(threshold=sol.threshold, weights=weights, value=sol.value + dropped * kind.floor_value)
-    return sol, eta
-
-
-def solve_dual_1d(values, spec: SmoothingSpec, p: float) -> DualSolution:
-    """Minimize the scalar dual of the smoothed superquantile.
-
-    The dual derivative ``1 - sum(weights)`` is non-decreasing in the shift
-    ``eta``, and one safeguarded Newton iteration finds its root for both
-    divergences.  The sample is centred at its p-quantile, so that the shift
-    keeps its resolution under a large common offset.  The iteration starts
-    where the p-quantile has weight ``1/n``, inside a bracket whose ends are
-    known in closed form.  Each pass over the sample gives the derivative
-    and the curvature.  The iteration bisects the bracket instead of taking
-    the Newton step when that step leaves the bracket or has no root, or
-    when the derivative did not halve since the previous pass.
-    """
-    return _newton_dual(as_sample(values), spec, check_tail(p))[0]
+        scattered = np.zeros(u.size)
+        scattered[candidates] = weights
+        weights, value = scattered, value + dropped * kind.floor_value
+    return DualSolution(threshold=float(shift + eta), weights=weights, value=value, start=eta)
 
 
 def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
@@ -419,23 +410,13 @@ def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
     # centred at its minimum, the sample keeps the bracket's resolution under a large offset
     shift = float(u.min())
     v = u - shift
+    # the bracket holds the root: with v >= 0, every s = v - lo is at least
+    # nu + 1, so each euclidean weight is at least min(1, cap), each KL
+    # weight at least 1/n, and the slope at most 0; every s = v - hi is at
+    # most -nu - 1, so each euclidean weight is 0, each KL weight below
+    # e^-2/n, and the slope positive
     lo = -spec.nu - 1.0
     hi = float(v.max()) + spec.nu + 1.0
-    eps = _slope_eps(kind.p)
-    if _slope(lo, v, kind) > eps:
-        span = hi - lo
-        for _ in range(60):
-            lo -= span
-            span *= 2.0
-            if _slope(lo, v, kind) <= eps:
-                break
-    if _slope(hi, v, kind) < -eps:
-        span = hi - lo
-        for _ in range(60):
-            hi += span
-            span *= 2.0
-            if _slope(hi, v, kind) >= -eps:
-                break
     eta, lo, hi = _bisect(v, kind, lo, hi)
     s = v - eta
     weights, curvature = kind.weights_and_curvature(s)
@@ -450,7 +431,8 @@ def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
         if sum_above < 1.0 < sum_below:
             weights = below + ((sum_below - 1.0) / (sum_below - sum_above)) * (above - below)
             total = float(weights.sum())
-    return _solution_at(shift, eta, s, weights, curvature, kind, (total, float(curvature.sum())))
+    weights, value = _solution_at(shift, eta, s, weights, curvature, kind, (total, float(curvature.sum())))
+    return DualSolution(threshold=float(shift + eta), weights=weights, value=value)
 
 
 def smoothed_superquantile(values, spec: SmoothingSpec, p: float) -> tuple[float, np.ndarray]:

@@ -12,6 +12,8 @@ from sqopt import (
     tail_split,
 )
 
+from sqopt.core import NonFiniteSample, as_sample
+
 from reference import brute_force_superquantile, relative_gap, sorted_quantile, sorted_tail_average
 
 
@@ -63,6 +65,25 @@ class TestQuantile:
             quantile([1.0], 1.0)
         with pytest.raises(ValueError, match="p must be"):
             quantile([1.0], -0.1)
+
+
+class TestAsSample:
+    def test_non_finite_values_raise_the_subclass(self):
+        for values in ([1.0, np.inf], [-np.inf], [np.nan, 0.0]):
+            with pytest.raises(NonFiniteSample, match="sample values must be finite"):
+                as_sample(values)
+
+    def test_other_defects_raise_plain_value_errors(self):
+        for values, message in (([], "empty sample"), ([[1.0, 2.0]], "one-dimensional"),
+                                ([[np.inf], [0.0]], "one-dimensional"), (["a"], "could not convert")):
+            with pytest.raises(ValueError, match=message) as raised:
+                as_sample(values)
+            assert not isinstance(raised.value, NonFiniteSample)
+
+    def test_finite_values_pass_unchanged(self):
+        u = np.array([3.0, -1e308, 0.0])
+        assert as_sample(u) is u
+        assert as_sample(2.5).tolist() == [2.5]
 
 
 class TestTailSplit:

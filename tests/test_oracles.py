@@ -297,12 +297,13 @@ class TestPassesPerCall:
 class TestNonFiniteLosses:
     def test_value_grad_report_inf_and_nan(self):
         adjoint_calls = []
-        lm = LossMap(dim=2, n=2, eval=lambda w: np.array([np.inf, 0.0]),
-                     adjoint_apply=lambda w, q: adjoint_calls.append(q) or np.zeros(2))
-        for value, grad in (smoothed_value_grad(lm, np.zeros(2), 0.5, SmoothingSpec("kl", 1.0)),
-                            erm_value_grad(lm, np.zeros(2))):
-            assert value == np.inf
-            assert grad.shape == (2,) and np.all(np.isnan(grad))
+        for bad in (np.inf, -np.inf, np.nan):
+            lm = LossMap(dim=2, n=2, eval=lambda w, bad=bad: np.array([bad, 0.0]),
+                         adjoint_apply=lambda w, q: adjoint_calls.append(q) or np.zeros(2))
+            for value, grad in (smoothed_value_grad(lm, np.zeros(2), 0.5, SmoothingSpec("kl", 1.0)),
+                                erm_value_grad(lm, np.zeros(2))):
+                assert value == np.inf
+                assert grad.shape == (2,) and np.all(np.isnan(grad))
         assert adjoint_calls == []
 
     @pytest.mark.parametrize("objective", ["smoothed", "erm"])
@@ -376,7 +377,7 @@ class TestWarmStartPasses:
         lm, _ = tail_regression_map(53, 4000, 5)
         record = sqopt.smoothing._KINDS[kind]
         weights_and_curvature = record.weights_and_curvature
-        newton_dual = sqopt.oracles._newton_dual
+        solve = sqopt.oracles.solve_dual_1d
         counts = {"passes": 0}
 
         def counted_pass(*args):
@@ -386,8 +387,8 @@ class TestWarmStartPasses:
         def fit(cold):
             monkeypatch.setattr(record, "weights_and_curvature", counted_pass)
             if cold:
-                monkeypatch.setattr(sqopt.oracles, "_newton_dual",
-                                    lambda u, spec, p, start: newton_dual(u, spec, p))
+                monkeypatch.setattr(sqopt.oracles, "solve_dual_1d",
+                                    lambda u, spec, p, start: solve(u, spec, p))
             counts["passes"] = 0
             result = minimize(smoothed_objective(lm, 0.9, SmoothingSpec(kind, nu), 1.0), np.zeros(5))
             monkeypatch.undo()
@@ -399,6 +400,47 @@ class TestWarmStartPasses:
         assert warm.iterations == cold.iterations
         assert np.abs(warm.w_star - cold.w_star).max() <= 1e-10
         assert warm_passes < cold_passes
+
+
+class TestOneDualSolvePerCall:
+    """The smoothed oracle solves through ``sqopt.oracles.solve_dual_1d``, once per call."""
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 0.5), ("kl", 0.02)])
+    def test_one_solve_per_oracle_call_along_a_fit(self, kind, nu, monkeypatch):
+        lm, _ = tail_regression_map(54, 500, 4)
+        solve = sqopt.oracles.solve_dual_1d
+        solutions, starts = [], []
+
+        def counted(u, spec, p, start=None):
+            starts.append(start)
+            solutions.append(solve(u, spec, p, start=start))
+            return solutions[-1]
+
+        monkeypatch.setattr(sqopt.oracles, "solve_dual_1d", counted)
+        oracle = smoothed_objective(lm, 0.9, SmoothingSpec(kind, nu), 1.0)
+        calls = []
+        result = minimize(lambda w: calls.append(w) or oracle(w), np.zeros(4))
+        assert result.status == "converged"
+        assert len(solutions) == len(calls) > 0
+        # each solve starts from the previous solution's start
+        assert starts[0] is None
+        assert starts[1:] == [sol.start for sol in solutions[:-1]]
+
+
+class TestMalformedLossVectors:
+    """An empty or multi-dimensional loss vector is a defect of the loss map, raised by both oracles."""
+
+    @pytest.mark.parametrize("objective", ["smoothed", "erm"])
+    @pytest.mark.parametrize("losses,message", [(np.array([]), "empty sample"),
+                                                (np.ones((3, 1)), "one-dimensional")])
+    def test_raises_value_error(self, objective, losses, message):
+        lm = LossMap(dim=1, n=losses.size, eval=lambda w: losses, adjoint_apply=lambda w, q: np.zeros(1))
+        if objective == "smoothed":
+            oracle = smoothed_objective(lm, 0.9, SmoothingSpec("euclidean", 0.1))
+        else:
+            oracle = erm_objective(lm)
+        with pytest.raises(ValueError, match=message):
+            oracle(np.zeros(1))
 
 
 class TestFiniteDifferenceHelper:

@@ -376,8 +376,8 @@ class TestWarmStartEdgeBattery:
             exact = superquantile_integral(u, p)
             dmax = divergence_max(spec, u.size, p)
             slack = 1e-12 * max(1.0, abs(exact)) + 4.0 * eps * nu * max(1.0, dmax)
-            for start in warm_starts(rng, u, smoothing_module._newton_dual(u, spec, p)[1]):
-                sol, _ = smoothing_module._newton_dual(u, spec, p, start)
+            for start in warm_starts(rng, u, solve_dual_1d(u, spec, p).start):
+                sol = solve_dual_1d(u, spec, p, start=start)
                 solves += 1
                 ok = (sol.weights.min() >= 0.0 and sol.weights.max() <= tail_cap(u.size, p)
                       and abs(sol.weights.sum() - 1.0) <= 1e-7
@@ -391,8 +391,11 @@ class TestWarmStartEdgeBattery:
         u = np.random.default_rng(29).normal(0.0, 1.0, 300)
         spec = SmoothingSpec("kl", 0.05)
         cold = solve_dual_1d(u, spec, 0.9)
-        for start in (None, math.nan, math.inf, -math.inf, float(u.max()) + 1e3, float(u.min()) - 1e3):
-            sol, _ = smoothing_module._newton_dual(u, spec, 0.9, start)
+        # a bisection solution's start is NaN, a cold start
+        bisected = bisect_dual(u, spec, 0.9).start
+        assert math.isnan(bisected)
+        for start in (None, math.nan, bisected, math.inf, -math.inf, float(u.max()) + 1e3, float(u.min()) - 1e3):
+            sol = solve_dual_1d(u, spec, 0.9, start=start)
             assert sol.threshold == cold.threshold and sol.value == cold.value
             assert sol.weights.tobytes() == cold.weights.tobytes()
 
@@ -468,7 +471,7 @@ class TestCandidateFilter:
             spec = SmoothingSpec(kind, nu)
             dropped = floor_rows(u, spec, p)
             dropped_somewhere += int(dropped.sum())
-            for sol in (solve_dual_1d(u, spec, p), smoothing_module._newton_dual(u, spec, p, 0.0)[0]):
+            for sol in (solve_dual_1d(u, spec, p), solve_dual_1d(u, spec, p, start=0.0)):
                 assert np.all(sol.weights[dropped] == 0.0), label
         assert dropped_somewhere > 0
 
