@@ -8,9 +8,7 @@ with a heteroscedastic scale, as the regression fits produce) and times
 * ``cold``: ``solve_dual_1d`` with no start;
 * ``warm``: ``solve_dual_1d`` on the sample moved by a relative 1e-3, from
   the ``start`` of the solve on the unmoved sample, as the smoothed oracle
-  calls it along a fit (in a source from before ``DualSolution.start``,
-  the private ``_newton_dual`` its oracle called, without the sample check
-  that oracle made itself);
+  calls it along a fit;
 
 for both divergences at p = 0.9 and three nu each.  Every solve is checked
 against ``bisect_dual``: the values must agree within ``1e-12 max(1, |value|)
@@ -36,7 +34,7 @@ Usage:  python scripts/dual_timing.py [--n 160,1000,...] [--repeat 7] [--seed 0]
 The output is one JSON object: ``rows`` holds one entry per (layer, kind,
 nu, n) with each tree's median, quartiles and loop size, and ``candidates``
 the share of rows above the candidate filter's floor in the warm solve's
-sample, where this tree has the filter.
+sample.
 """
 
 from __future__ import annotations
@@ -117,23 +115,9 @@ def check(label: str, sol, u: np.ndarray, spec: SmoothingSpec) -> list[str]:
     return problems
 
 
-def warm_solver(tree):
-    """The dual solve of ``tree`` that takes a start, and a map from its result to ``(solution, start)``.
-
-    A source from before ``DualSolution.start`` has the warm start only in
-    the private ``_newton_dual``, which returns that pair and leaves the
-    sample check to its caller, the oracle.
-    """
-    if hasattr(tree.smoothing, "_newton_dual"):
-        return tree.smoothing._newton_dual, lambda pair: pair
-    return tree.solve_dual_1d, lambda sol: (sol, sol.start)
-
-
-def candidate_share(u: np.ndarray, spec: SmoothingSpec) -> float | None:
-    """Share of rows above the filter's floor, or None for a source without the filter."""
+def candidate_share(u: np.ndarray, spec: SmoothingSpec) -> float:
+    """Share of rows above the candidate filter's floor."""
     kind = sm._KINDS[spec.kind](spec.nu, u.size, P)
-    if not hasattr(kind, "s_floor"):
-        return None
     v = u - sm._quantile(u, P)
     return float(np.count_nonzero(v > -kind.s_cap + kind.s_floor)) / u.size
 
@@ -155,18 +139,17 @@ def main(sizes, repeat: int, seed: int, against: str | None) -> int:
                 for label, tree in trees.items():
                     spec = tree.SmoothingSpec(kind, nu)
                     name = f"{label} {kind} nu={nu} n={n}"
-                    problems += check(f"cold {name}", tree.solve_dual_1d(u, spec, P), u, SmoothingSpec(kind, nu))
-                    solve, unpack = warm_solver(tree)
-                    _, start = unpack(solve(u, spec, P))
-                    problems += check(f"warm {name}", unpack(solve(moved, spec, P, start))[0],
+                    solve = tree.solve_dual_1d
+                    first = solve(u, spec, P)
+                    problems += check(f"cold {name}", first, u, SmoothingSpec(kind, nu))
+                    problems += check(f"warm {name}", solve(moved, spec, P, start=first.start),
                                       moved, SmoothingSpec(kind, nu))
-                    cold[label] = lambda tree=tree, spec=spec: tree.solve_dual_1d(u, spec, P)
-                    warm[label] = lambda solve=solve, spec=spec, start=start: solve(moved, spec, P, start)
+                    cold[label] = lambda solve=solve, spec=spec: solve(u, spec, P)
+                    warm[label] = lambda solve=solve, spec=spec, start=first.start: solve(moved, spec, P, start=start)
                 rows.append({"layer": "cold", "kind": kind, "nu": nu, "n": n, **timed(cold, repeat)})
                 rows.append({"layer": "warm", "kind": kind, "nu": nu, "n": n, **timed(warm, repeat)})
                 share = candidate_share(moved, SmoothingSpec(kind, nu))
-                if share is not None:
-                    shares.append({"kind": kind, "nu": nu, "n": n, "share": share})
+                shares.append({"kind": kind, "nu": nu, "n": n, "share": share})
     for problem in problems:
         print(problem, file=sys.stderr)
     print(json.dumps({"p": P, "seed": seed, "repeat": repeat, "against": against, "checked": not problems,

@@ -1,27 +1,21 @@
 #!/usr/bin/env python3
-"""Print one digest line per (case, kind, output) of the smoothing numerics.
+"""Compare the smoothing numerics of this source tree with another one, part by part.
 
-A refactor of ``sqopt.smoothing`` that should not change a single bit is
-checked by running this script against both commits' sources (a second
-checkout, made with ``git clone`` or ``git archive``, holds the other one)
-and comparing the outputs::
+A change to ``sqopt`` that should keep every number is checked against the
+source of its parent (a second checkout, made with ``git clone`` or
+``git archive``) in one process, with nothing written::
 
-    PYTHONPATH=src python scripts/smoothing_digest.py > after.txt
-    PYTHONPATH=../parent/src python scripts/smoothing_digest.py > before.txt
-    cmp before.txt after.txt
+    mkdir -p ../parent && git archive HEAD~1 src | tar -x -C ../parent
+    PYTHONPATH=src python scripts/smoothing_digest.py --against ../parent/src
 
-A change that reorders the arithmetic changes the bits; ``--values`` prints
-the numbers behind each hash instead, one line per part of an output, and
-``--compare`` reads two such listings and prints the largest relative
-deviation per output and overall.  The listings are large (hundreds of MB
-at the default 2000 samples), so stream them::
-
-    PYTHONPATH=src python scripts/smoothing_digest.py --compare \
-        <(PYTHONPATH=../parent/src python scripts/smoothing_digest.py --values) \
-        <(PYTHONPATH=src python scripts/smoothing_digest.py --values)
-
-A part's deviation is ``max|a - b| / max(max|a|, max|b|, unit)``, where the
-unit is its natural scale in the case: the largest ``|u|`` (at least nu)
+The other tree is imported under another package name (the loader of
+``scripts/dual_timing.py``), and both trees go through the same outputs on
+the same cases, with the same drawn warm starts.  The script prints, per
+divergence and output and overall, how many parts are not bit-identical and
+the largest relative deviation, and exits 1 when any part differs.  A part's
+deviation is ``max|a - b| / max(max|a|, max|b|, unit)`` over its finite
+entries (infinite where the shapes or the non-finite entries differ), where
+the unit is its natural scale in the case: the largest ``|u|`` (at least nu)
 for thresholds and values, the cap ``1/(n(1-p))`` for weights, their
 product for conjugate values, ``1/(1-p)`` for the dual derivative, and the
 cap (euclidean) or 1 (kl) for divergences.
@@ -29,29 +23,28 @@ cap (euclidean) or 1 (kl) for divergences.
 Each case is a seeded sample from the edge families of the solver tests
 (continuous, ties, a 1e8 offset, a 1e12 scale, constant) with n up to 3000,
 p up to 0.999999 and nu from 1e-6 to 1e6 times the scale, solved for both
-divergences.  The outputs are hashes of the exact bytes of: the cold
-``solve_dual_1d`` and ``bisect_dual`` solutions (threshold, value, weights),
-four warm-started ``solve_dual_1d`` solves (passing ``start=`` the cold
-solution's ``start``, a perturbed one, NaN, and one outside the bracket,
-each with the ``start`` it returns),
-``scalar_conjugate`` and ``scalar_conjugate_grad`` on arrays and scalars,
-``divergence``, ``divergence_max``, ``dual_derivative``, ``dual_objective``
-and ``smoothed_positive_part``.
+divergences.  The outputs are: the cold ``solve_dual_1d`` and
+``bisect_dual`` solutions (threshold, value, weights), four warm-started
+``solve_dual_1d`` solves (passing ``start=`` the cold solution's ``start``,
+a perturbed one, NaN, and one outside the bracket, each with the ``start``
+it returns), ``scalar_conjugate`` and ``scalar_conjugate_grad`` on arrays
+and scalars, ``divergence``, ``divergence_max``, the dual function
+``eta + sum scalar_conjugate(u - eta)`` and its derivative
+``1 - sum scalar_conjugate_grad(u - eta)``, and ``smoothed_positive_part``.
 
-Usage:  python scripts/smoothing_digest.py [--values] [samples]   (default 2000)
-        python scripts/smoothing_digest.py --compare BEFORE AFTER
+Usage:  python scripts/smoothing_digest.py --against SRC [samples]   (default 2000)
 """
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 import math
 import sys
 
 import numpy as np
 
-import sqopt.smoothing as sm
-from sqopt.smoothing import SmoothingSpec
+import sqopt
+from dual_timing import load_tree
 
 FAMILIES = ("continuous", "ties", "offset", "huge", "constant")
 
@@ -68,105 +61,84 @@ def instances(rng, count):
         yield u, p, scale * float(10 ** rng.uniform(-6, 6))
 
 
-def digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.asarray(part, dtype=float).tobytes())
-    return h.hexdigest()[:16]
+def outputs(sm, u, spec, p, draw):
+    """Yield ``(name, parts)`` of the tree whose ``sqopt.smoothing`` is ``sm``; a part is ``(numbers, unit)``.
 
-
-def warm_solve(u, spec, p, start=None):
-    """``solve_dual_1d`` from ``start``, and the solution's ``start``.
-
-    A source from before ``DualSolution.start`` has the warm start only in
-    the private ``_newton_dual``, which returns the same pair.
+    ``draw`` is a standard normal number that perturbs the second warm start.
     """
-    if hasattr(sm, "_newton_dual"):
-        return sm._newton_dual(u, spec, p, start)
-    sol = sm.solve_dual_1d(u, spec, p, start=start)
-    return sol, sol.start
-
-
-def outputs(u, spec, p, rng):
-    """Yield ``(name, parts)``; each part is ``(label, numbers, unit)``."""
     n = u.size
     cap = 1.0 / (n * (1.0 - p))
     loss = max(float(np.abs(u).max()), spec.nu)
     div = cap if spec.kind == "euclidean" else 1.0
     cold = sm.solve_dual_1d(u, spec, p)
-    yield "cold", (("threshold", cold.threshold, loss), ("value", cold.value, loss), ("weights", cold.weights, cap))
+    yield "cold", ((cold.threshold, loss), (cold.value, loss), (cold.weights, cap))
     ref = sm.bisect_dual(u, spec, p)
-    yield "bisect", (("threshold", ref.threshold, loss), ("value", ref.value, loss), ("weights", ref.weights, cap))
-    _, start = warm_solve(u, spec, p)
-    starts = (start, start + rng.normal() * (1.0 + abs(start)), math.nan, float(u.max()) + 1e3)
-    for k, guess in enumerate(starts):
-        sol, back = warm_solve(u, spec, p, guess)
-        yield f"warm{k}", (("threshold", sol.threshold, loss), ("value", sol.value, loss),
-                           ("weights", sol.weights, cap), ("start", back, loss))
+    yield "bisect", ((ref.threshold, loss), (ref.value, loss), (ref.weights, cap))
+    start = cold.start
+    for k, guess in enumerate((start, start + draw * (1.0 + abs(start)), math.nan, float(u.max()) + 1e3)):
+        sol = sm.solve_dual_1d(u, spec, p, start=guess)
+        yield f"warm{k}", ((sol.threshold, loss), (sol.value, loss), (sol.weights, cap), (sol.start, loss))
     shifted = u - cold.threshold
-    yield "conjugate", (("array", sm.scalar_conjugate(shifted, spec, n, p), loss * cap),
-                        ("scalar", sm.scalar_conjugate(float(shifted[0]), spec, n, p), loss * cap))
-    yield "conjugate_grad", (("array", sm.scalar_conjugate_grad(shifted, spec, n, p), cap),
-                             ("scalar", sm.scalar_conjugate_grad(float(shifted[-1]), spec, n, p), cap))
-    yield "divergence", (("cold", sm.divergence(cold.weights, spec, n), div),
-                         ("bisect", sm.divergence(ref.weights, spec, n), div))
-    yield "divergence_max", (("value", sm.divergence_max(spec, n, p), div),)
-    yield "dual_derivative", (("cold", sm.dual_derivative(cold.threshold, u, spec, p), 1.0 / (1.0 - p)),
-                              ("shifted", sm.dual_derivative(ref.threshold + spec.nu, u, spec, p), 1.0 / (1.0 - p)))
-    yield "dual_objective", (("cold", sm.dual_objective(cold.threshold, u, spec, p), loss),
-                             ("shifted", sm.dual_objective(ref.threshold - spec.nu, u, spec, p), loss))
-    yield "positive_part", (("array", sm.smoothed_positive_part(shifted, spec, n, p), loss),)
+    yield "conjugate", ((sm.scalar_conjugate(shifted, spec, n, p), loss * cap),
+                        (sm.scalar_conjugate(float(shifted[0]), spec, n, p), loss * cap))
+    yield "conjugate_grad", ((sm.scalar_conjugate_grad(shifted, spec, n, p), cap),
+                             (sm.scalar_conjugate_grad(float(shifted[-1]), spec, n, p), cap))
+    yield "divergence", ((sm.divergence(cold.weights, spec, n), div), (sm.divergence(ref.weights, spec, n), div))
+    yield "divergence_max", ((sm.divergence_max(spec, n, p), div),)
+
+    def dual(eta):
+        return float(eta + sm.scalar_conjugate(u - eta, spec, n, p).sum())
+
+    def slope(eta):
+        return float(1.0 - sm.scalar_conjugate_grad(u - eta, spec, n, p).sum())
+
+    slope_unit = 1.0 / (1.0 - p)
+    yield "dual_derivative", ((slope(cold.threshold), slope_unit), (slope(ref.threshold + spec.nu), slope_unit))
+    yield "dual_objective", ((dual(cold.threshold), loss), (dual(ref.threshold - spec.nu), loss))
+    yield "positive_part", ((sm.smoothed_positive_part(shifted, spec, n, p), loss),)
 
 
-def main(samples: int, values: bool) -> None:
+def deviation(x: np.ndarray, y: np.ndarray, unit: float) -> float:
+    """``max|x - y| / max(max|x|, max|y|, unit)`` over the finite entries; inf if the others differ."""
+    finite = np.isfinite(x)
+    if x.shape != y.shape or not (np.array_equal(finite, np.isfinite(y))
+                                  and np.array_equal(x[~finite], y[~finite], equal_nan=True)):
+        return math.inf
+    x, y = x[finite], y[finite]
+    scale = max(float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0)), unit)
+    return float(np.abs(x - y).max(initial=0.0)) / scale if scale > 0.0 else 0.0
+
+
+def main(against: str, samples: int) -> int:
+    trees = (sqopt, load_tree(against))
     rng = np.random.default_rng(11)
     perturb = np.random.default_rng(12)
+    table = {}  # "kind output" -> [non-identical parts, parts, largest deviation, its case]
     for case, (u, p, nu) in enumerate(instances(rng, samples)):
-        # the kinds are spelled out so that the script also runs against
-        # sources without the ``_KINDS`` registry
         for kind in ("euclidean", "kl"):
-            for name, parts in outputs(u, SmoothingSpec(kind, nu), p, perturb):
-                if not values:
-                    print(case, kind, name, digest(*(numbers for _, numbers, _ in parts)))
-                    continue
-                for label, numbers, unit in parts:
-                    listed = " ".join(map(repr, np.atleast_1d(np.asarray(numbers, dtype=float)).tolist()))
-                    print(case, kind, f"{name}.{label}", repr(unit), listed)
-
-
-def compare(before: str, after: str) -> None:
-    """Largest relative deviation between two ``--values`` listings, per output and overall."""
-    worst = {}
-    with open(before) as a, open(after) as b:
-        for line_a, line_b in zip(a, b, strict=True):
-            case, kind, name, unit, *xs = line_a.split()
-            if line_b.split(maxsplit=3)[:3] != [case, kind, name]:
-                raise SystemExit(f"listings differ in their cases: {line_a[:60]!r} vs {line_b[:60]!r}")
-            x = np.array(xs, dtype=float)
-            y = np.array(line_b.split()[4:], dtype=float)
-            if x.shape != y.shape or not np.array_equal(np.isfinite(x), np.isfinite(y)):
-                raise SystemExit(f"case {case} {kind} {name}: shapes or non-finite entries differ")
-            finite = np.isfinite(x)
-            if not np.array_equal(x[~finite], y[~finite], equal_nan=True):
-                raise SystemExit(f"case {case} {kind} {name}: non-finite entries differ")
-            x, y = x[finite], y[finite]
-            if x.size == 0:
-                continue
-            scale = max(float(np.abs(x).max()), float(np.abs(y).max()), float(unit))
-            deviation = float(np.abs(x - y).max()) / scale if scale > 0.0 else 0.0
-            key = f"{kind} {name}"
-            if deviation >= worst.get(key, (-1.0,))[0]:
-                worst[key] = (deviation, case)
-    for key, (deviation, case) in sorted(worst.items(), key=lambda item: -item[1][0]):
-        print(f"{key:32s} {deviation:.3e}  (case {case})")
-    print(f"largest relative deviation {max(d for d, _ in worst.values()):.3e}")
+            draw = float(perturb.normal())
+            this, other = (outputs(tree.smoothing, u, tree.SmoothingSpec(kind, nu), p, draw) for tree in trees)
+            for (name, parts), (_, other_parts) in zip(this, other, strict=True):
+                row = table.setdefault(f"{kind} {name}", [0, 0, 0.0, None])
+                for (a, unit), (b, _) in zip(parts, other_parts, strict=True):
+                    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+                    row[0] += a.shape != b.shape or a.tobytes() != b.tobytes()
+                    row[1] += 1
+                    d = deviation(a, b, unit)
+                    if d > row[2]:
+                        row[2], row[3] = d, case
+    print(f"{'output':28s} {'differ':>7s} {'parts':>7s}  largest relative deviation")
+    for key, (differ, parts, worst, case) in sorted(table.items(), key=lambda item: (-item[1][2], item[0])):
+        print(f"{key:28s} {differ:7d} {parts:7d}  {worst:.3e}" + (f"  (case {case})" if case is not None else ""))
+    differ, parts = sum(row[0] for row in table.values()), sum(row[1] for row in table.values())
+    print(f"{differ} of {parts} parts not bit-identical; "
+          f"largest relative deviation {max(row[2] for row in table.values()):.3e}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    if args[:1] == ["--compare"] and len(args) == 3:
-        compare(args[1], args[2])
-    else:
-        listing = "--values" in args
-        rest = [a for a in args if a != "--values"]
-        main(int(rest[0]) if rest else 2000, listing)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--against", required=True, help="source directory of the sqopt to compare with")
+    parser.add_argument("samples", nargs="?", type=int, default=2000)
+    args = parser.parse_args()
+    sys.exit(main(args.against, args.samples))

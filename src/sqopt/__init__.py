@@ -36,7 +36,6 @@ from .optim import OptimResult, check_oracle, minimize
 from .oracles import (
     LossMap,
     SubdifferentialDescription,
-    erm_value_grad,
     smoothed_value_grad,
     subdifferential,
 )

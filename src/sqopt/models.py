@@ -92,17 +92,27 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """Per-row group assignment (0..m-1) with weights summing to one."""
+    """Per-row group assignment (0..m-1) with weights summing to one.
+
+    An index may be given as an integral float such as ``1.0``; any other
+    float, or a NaN or infinite index or weight, raises ``ValueError``.
+    """
 
     assignment: np.ndarray
     alpha: np.ndarray = None
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int).reshape(-1)
-        if a.size == 0:
+        indices = np.asarray(self.assignment, dtype=float).reshape(-1)
+        if indices.size == 0:
             raise ValueError("empty group assignment")
-        if a.min() < 0:
+        if not (np.isfinite(indices) & (np.trunc(indices) == indices)).all():
+            raise ValueError("group indices must be finite integers")
+        if indices.min() < 0:
             raise ValueError("group indices must be nonnegative")
+        # m groups need m rows: checked before the counts, which take max + 1 entries
+        if indices.max() >= indices.size:
+            raise ValueError("every group must be non-empty")
+        a = indices.astype(int)
         m = int(a.max()) + 1
         counts = np.bincount(a, minlength=m)
         if np.any(counts == 0):
@@ -113,8 +123,9 @@ class GroupStructure:
             alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
             if alpha.shape != (m,):
                 raise ValueError(f"alpha must have one entry per group ({m})")
-            if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-9:
-                raise ValueError("alpha must be nonnegative and sum to one")
+            # written so that a NaN or infinite entry fails it too
+            if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-9):
+                raise ValueError("alpha must be finite, nonnegative and sum to one")
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "alpha", alpha)
 
@@ -234,8 +245,9 @@ def conformity(pi, alpha) -> float:
     if pi_arr.shape != alpha_arr.shape:
         raise ValueError("pi and alpha must have the same length")
     for name, v in (("pi", pi_arr), ("alpha", alpha_arr)):
-        if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be a probability vector")
+        # written so that a NaN or infinite entry fails it too
+        if not (np.all(v >= 0) and abs(v.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"{name} must be a finite probability vector")
     support = pi_arr > 0
     ratios = alpha_arr[support] / pi_arr[support]
     return float(min(ratios.min(), 1.0))

@@ -5,7 +5,8 @@ component losses and apply the adjoint Jacobian to a weight vector.  The exact
 objective is differentiable except where several losses tie with the
 p-quantile; :func:`subdifferential` returns the full structured set there,
 while :func:`smoothed_value_grad` evaluates the smooth surrogate whose
-gradient is a single weighted adjoint application.
+gradient is a single weighted adjoint application.  The mean-loss baseline
+has only its closure: ``erm_objective(loss_map, reg)(w)`` is one call.
 
 The smoothed oracle calls ``solve_dual_1d`` once per call, through the name
 bound here, and hands each solution's ``start`` to the next solve.  Its
@@ -29,7 +30,6 @@ __all__ = [
     "SubdifferentialDescription",
     "subdifferential",
     "smoothed_value_grad",
-    "erm_value_grad",
     "smoothed_objective",
     "erm_objective",
     "finite_difference_grad",
@@ -161,14 +161,6 @@ def smoothed_value_grad(loss_map: LossMap, w, p: float,
     ``inf`` and a NaN gradient, without an ``adjoint_apply``.
     """
     return smoothed_objective(loss_map, p, spec)(w)
-
-
-def erm_value_grad(loss_map: LossMap, w, reg: float = 0.0) -> tuple[float, np.ndarray]:
-    """Mean-loss objective with ridge term ``reg/(2n) ||w||^2``.
-
-    Non-finite losses give the value ``inf`` and a NaN gradient.
-    """
-    return erm_objective(loss_map, reg)(w)
 
 
 def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,

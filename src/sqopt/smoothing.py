@@ -16,13 +16,15 @@ class is built once per call from ``(nu, n, p)``, which it checks, and
 defines everything the kind changes: the cap, the bracket ends
 ``s_uniform`` and ``s_cap``, the pass that gives the weights and their
 curvature, the conjugate values from that pass, the Newton step and the
-divergence itself (see ``_Divergence``).  The solver, the conjugates and the
-dual helpers take a record and never branch on the kind.
+divergence itself (see ``_Divergence``).  The solver and the conjugates take
+a record and never branch on the kind.
 ``smoothed_positive_part`` keeps its own closed forms and ``bisect_dual`` its
 own bracket, so that each checks the records independently.
 
 For a separable divergence the dual of the regularized problem is a smooth
-convex function of a single scalar shift with a monotone derivative.
+convex function of a single scalar shift, ``eta + sum_i scalar_conjugate(u_i
+- eta)``, whose derivative ``1 - sum_i scalar_conjugate_grad(u_i - eta)`` is
+non-decreasing, from ``-p/(1-p)`` at ``-inf`` to 1 at ``+inf``.
 :func:`solve_dual_1d` finds the root of that derivative for both divergences
 with one safeguarded Newton iteration: it centres the sample at its
 p-quantile, brackets the root in closed form without sorting, and takes the
@@ -64,8 +66,6 @@ __all__ = [
     "DualSolution",
     "scalar_conjugate",
     "scalar_conjugate_grad",
-    "dual_objective",
-    "dual_derivative",
     "solve_dual_1d",
     "bisect_dual",
     "smoothed_superquantile",
@@ -254,26 +254,6 @@ def scalar_conjugate_grad(s, spec: SmoothingSpec, n: int, p: float):
     return out if s_arr.ndim else float(out)
 
 
-def dual_objective(eta: float, values, spec: SmoothingSpec, p: float) -> float:
-    """Dual function ``eta + sum_i scalar_conjugate(u_i - eta)``; convex in eta."""
-    u = as_sample(values)
-    return float(eta + scalar_conjugate(u - eta, spec, u.size, p).sum())
-
-
-def dual_derivative(eta: float, values, spec: SmoothingSpec, p: float) -> float:
-    """Derivative of the dual function: ``1 - sum_i scalar_conjugate_grad(u_i - eta)``.
-
-    Non-decreasing in ``eta``; tends to 1 at +inf and to ``-p/(1-p)`` at -inf.
-    """
-    u = as_sample(values)
-    return _slope(eta, u, _KINDS[spec.kind](spec.nu, u.size, p))
-
-
-def _slope(eta: float, u: np.ndarray, kind: _Divergence) -> float:
-    weights, _ = kind.weights_and_curvature(u - eta)
-    return float(1.0 - weights.sum())
-
-
 def _slope_eps(p: float) -> float:
     """Absolute noise floor for the dual derivative.
 
@@ -291,7 +271,8 @@ def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> tuple[flo
     """
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        s = _slope(mid, u, kind)
+        weights, _ = kind.weights_and_curvature(u - mid)
+        s = float(1.0 - weights.sum())
         if abs(s) <= _BISECT_TOL or hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
             break
         if s < 0.0:
@@ -565,8 +546,8 @@ def conv_smoothed_positive_part(x, density: DensitySpec, nu: float):
     Convex, smooth, and converges pointwise to ``max(x, 0)`` as ``nu -> 0``.
     The logistic density gives ``nu * softplus(x / nu)``.
     """
-    if not nu > 0.0:
-        raise ValueError("nu must be positive")
+    if not (math.isfinite(nu) and nu > 0.0):
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     x_arr = np.asarray(x, dtype=float)
     z = x_arr / nu
     if density.kind == "logistic":

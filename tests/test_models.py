@@ -271,12 +271,31 @@ class TestGroupStructure:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             GroupStructure(np.array([0, 0, 2]))
+        # an index past the row count leaves a group empty; it is rejected before max + 1 counts
+        # are allocated, and before a cast to int that would overflow
+        with pytest.raises(ValueError, match="non-empty"):
+            GroupStructure([0, 1e20])
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="sum to one"):
             GroupStructure(np.array([0, 1]), alpha=np.array([0.9, 0.9]))
         with pytest.raises(ValueError, match="one entry per group"):
             GroupStructure(np.array([0, 1]), alpha=np.array([1.0]))
+        # NaN fails every comparison: [nan, nan] must not pass as uniform weights in grouped_loss_map
+        for alpha in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf]):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                GroupStructure(np.array([0, 1]), alpha=alpha)
+
+    @pytest.mark.parametrize("assignment", [[0.5, 1.7, 1.2], [0, 1, 1.5], [0, 1, math.nan], [0, 1, math.inf]])
+    def test_indices_must_be_finite_integers(self, assignment):
+        # a cast to int would truncate [0.5, 1.7, 1.2] to [0, 1, 1]
+        with pytest.raises(ValueError, match="group indices must be finite integers"):
+            GroupStructure(assignment)
+
+    def test_integral_float_indices_accepted(self):
+        groups = GroupStructure([0.0, 1.0, 1.0, 2.0])
+        assert groups.assignment.tolist() == [0, 1, 1, 2]
+        assert groups.assignment.dtype.kind == "i"
 
     def test_default_alpha_uniform(self):
         groups = GroupStructure(np.array([0, 1, 2, 0]))
@@ -366,6 +385,12 @@ class TestConformity:
             conformity([1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="probability vector"):
             conformity([0.7, 0.7], [0.5, 0.5])
+        # a NaN pi would leave no support to take the minimum over
+        for bad in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="pi must be a finite probability vector"):
+                conformity(bad, [0.5, 0.5])
+            with pytest.raises(ValueError, match="alpha must be a finite probability vector"):
+                conformity([0.5, 0.5], bad)
 
 
 class TestGroupMetrics:

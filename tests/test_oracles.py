@@ -14,7 +14,6 @@ from sqopt import (
     LossMap,
     ModelSpec,
     SmoothingSpec,
-    erm_value_grad,
     grouped_loss_map,
     pointwise_loss_map,
     smoothed_value_grad,
@@ -82,7 +81,7 @@ class TestSubdifferential:
         rng = np.random.default_rng(30)
         lm, w = random_poly_instance(rng)
         desc = subdifferential(lm, w, 0.0)
-        _, mean_grad = erm_value_grad(lm, w, 0.0)
+        _, mean_grad = erm_objective(lm, 0.0)(w)
         np.testing.assert_allclose(desc.selected, mean_grad, rtol=1e-10, atol=1e-12)
 
     def test_subgradient_inequality_convex_case(self):
@@ -162,7 +161,7 @@ class TestSmoothedValueGrad:
         u = lm.eval(w)
         span = max(1.0, float(u.max() - u.min()))
         _, grad = smoothed_value_grad(lm, w, 0.8, SmoothingSpec("euclidean", 1e9 * span))
-        _, mean_grad = erm_value_grad(lm, w, 0.0)
+        _, mean_grad = erm_objective(lm, 0.0)(w)
         np.testing.assert_allclose(grad, mean_grad, rtol=1e-6, atol=1e-8)
 
     def test_tiny_nu_approaches_exact_subgradient(self):
@@ -196,7 +195,7 @@ class TestSmoothedValueGrad:
 class TestErmOracle:
     def test_zero_losses(self):
         lm = linear_loss_map([0.0, 0.0, 0.0])
-        value, grad = erm_value_grad(lm, np.array([1.0]), 0.0)
+        value, grad = erm_objective(lm, 0.0)(np.array([1.0]))
         assert value == 0.0
         np.testing.assert_allclose(grad, [0.0])
 
@@ -204,8 +203,8 @@ class TestErmOracle:
         rng = np.random.default_rng(38)
         lm, w = random_poly_instance(rng)
         reg = 2.5
-        value0, grad0 = erm_value_grad(lm, w, 0.0)
-        value1, grad1 = erm_value_grad(lm, w, reg)
+        value0, grad0 = erm_objective(lm, 0.0)(w)
+        value1, grad1 = erm_objective(lm, reg)(w)
         n = lm.n
         assert value1 - value0 == pytest.approx(0.5 * reg / n * float(w @ w), rel=1e-12)
         np.testing.assert_allclose(grad1 - grad0, (reg / n) * w, rtol=1e-12, atol=1e-15)
@@ -213,7 +212,7 @@ class TestErmOracle:
     def test_matches_smoothed_at_p_zero(self):
         rng = np.random.default_rng(39)
         lm, w = random_poly_instance(rng)
-        value_erm, grad_erm = erm_value_grad(lm, w, 0.0)
+        value_erm, grad_erm = erm_objective(lm, 0.0)(w)
         for spec in (SmoothingSpec("kl", 0.7), SmoothingSpec("euclidean", 0.7)):
             value, grad = smoothed_value_grad(lm, w, 0.0, spec)
             assert value == pytest.approx(value_erm, rel=1e-10)
@@ -232,7 +231,7 @@ class TestErmOracle:
         lm = linear_loss_map([1.0, 2.0])
         w = np.array([1.0])
         with pytest.raises(ValueError, match="reg"):
-            erm_value_grad(lm, w, -1.0)
+            erm_objective(lm, -1.0)(w)
         with pytest.raises(ValueError, match="reg"):
             smoothed_objective(lm, 0.5, SmoothingSpec("euclidean", 1.0), reg=-1.0)(w)
 
@@ -290,7 +289,7 @@ class TestPassesPerCall:
             if oracle == "smoothed":
                 smoothed_value_grad(lm, w, 0.8, SmoothingSpec("euclidean", 0.1))
             else:
-                erm_value_grad(lm, w, 1.0)
+                erm_objective(lm, 1.0)(w)
             assert counted.products == 2
 
 
@@ -301,7 +300,7 @@ class TestNonFiniteLosses:
             lm = LossMap(dim=2, n=2, eval=lambda w, bad=bad: np.array([bad, 0.0]),
                          adjoint_apply=lambda w, q: adjoint_calls.append(q) or np.zeros(2))
             for value, grad in (smoothed_value_grad(lm, np.zeros(2), 0.5, SmoothingSpec("kl", 1.0)),
-                                erm_value_grad(lm, np.zeros(2))):
+                                erm_objective(lm)(np.zeros(2))):
                 assert value == np.inf
                 assert grad.shape == (2,) and np.all(np.isnan(grad))
         assert adjoint_calls == []

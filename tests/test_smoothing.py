@@ -25,7 +25,6 @@ from sqopt import (
     tail_cap,
 )
 import sqopt.smoothing as smoothing_module
-from sqopt.smoothing import dual_derivative, dual_objective
 
 from reference import (
     conv_smoothed_positive_part_quadrature,
@@ -34,6 +33,16 @@ from reference import (
     relative_gap,
     sorted_smoothed_superquantile,
 )
+
+
+def dual_objective(eta, u, spec, p):
+    """The scalar dual function ``eta + sum_i scalar_conjugate(u_i - eta)``."""
+    return float(eta + scalar_conjugate(u - eta, spec, u.size, p).sum())
+
+
+def dual_derivative(eta, u, spec, p):
+    """Its derivative, ``1 - sum_i scalar_conjugate_grad(u_i - eta)``."""
+    return float(1.0 - scalar_conjugate_grad(u - eta, spec, u.size, p).sum())
 
 
 def random_instance(rng, max_n=60):
@@ -712,6 +721,13 @@ class TestConvolutionSmoothing:
             vals = conv_smoothed_positive_part(xs, DensitySpec(kind), 0.7)
             assert np.all(np.diff(vals, 2) >= -1e-12)
             assert np.all(vals >= np.maximum(xs, 0.0) - 1e-12)
+
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", ["logistic", "gaussian", "uniform"])
+    def test_strength_must_be_positive_and_finite(self, kind, nu):
+        # as SmoothingSpec: at nu = inf the logistic form would return inf for every x
+        with pytest.raises(ValueError, match="nu must be positive"):
+            conv_smoothed_positive_part(1.0, DensitySpec(kind), nu)
 
     def test_unknown_density_rejected(self):
         with pytest.raises(ValueError, match="unknown density"):
