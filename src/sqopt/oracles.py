@@ -48,7 +48,9 @@ class LossMap:
     q-weighted sum of the component gradients, linear in ``q``.  A loss
     map's results depend only on its arguments; an implementation may reuse
     work from its latest point (the oracles call ``adjoint_apply`` at the
-    point of the preceding ``eval``).  No Jacobian is ever materialized.
+    point of the preceding ``eval``), and its adjoint may skip the components
+    whose weight is zero, since the smoothed weights are zero on most of a
+    large sample.  No Jacobian is ever materialized.
     The oracle closures built on a loss map need not be pure: see
     :func:`smoothed_objective`.
     """

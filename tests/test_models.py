@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from sqopt import (
     pointwise_loss_map,
     predict,
 )
+from sqopt import models
 from sqopt.models import _loss_dz, _loss_values
 
 from reference import finite_difference
@@ -115,6 +117,19 @@ class TestPointwiseLossMap:
         lm = pointwise_loss_map(Dataset(np.array([[1.0]]), np.array([3.0])),
                                 ModelSpec(kind="linear", loss="squared"))
         np.testing.assert_allclose(lm.eval(np.array([1.0])), [0.5 * 4.0])
+
+    def test_squared_loss_bits_match_the_expression(self):
+        # computed in place, it must give the bits of 0.5 * (y - z) ** 2, at overflow and in the subnormals too
+        rng = np.random.default_rng(47)
+        edge_z = [-1e308, 1e308, -1e200, 0.0, 0.0, 1e-308, -0.0, 3e-162, 1e154, -1e-320]
+        edge_y = [1e308, -1e308, 1e200, 5e-324, 1e-160, 2e-308, 0.0, 0.0, -1e154, 1e-320]
+        z = np.concatenate([rng.normal(0.0, 1e3, 2000), edge_z])
+        y = np.concatenate([rng.normal(0.0, 1e3, 2000), edge_y])
+        with np.errstate(over="ignore"):
+            expected = 0.5 * (y - z) ** 2
+            got = _loss_values(z, y, "squared")
+        assert np.isinf(got[-10:-7]).all() and np.count_nonzero((got > 0) & (got < np.finfo(float).tiny))
+        assert got.tobytes() == expected.tobytes()
 
     def test_logistic_at_zero_margin(self):
         ds = Dataset(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
@@ -265,6 +280,132 @@ class TestPredictionMemo:
         losses, grad = self.direct(phi, y, loss, w, row_weights)
         assert np.array_equal(gm.adjoint_apply(w, q), grad)
         assert np.array_equal(gm.eval(w), np.bincount(assignment, weights=losses) / counts)
+
+
+def support_instance(loss, n, d, seed=48):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (n, d))
+    y = rng.normal(0, 1, n) if loss == "squared" else np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    ds = Dataset(x, y)
+    return ds, pointwise_loss_map(ds, ModelSpec(kind="linear", loss=loss)), rng.normal(0, 1, d), rng
+
+
+def weights_on(rng, n, count):
+    q = np.zeros(n)
+    q[rng.choice(n, count, replace=False)] = rng.uniform(0.1, 1.0, count)
+    return q
+
+
+def dense_adjoint(ds, loss, w, q):
+    x = ds.features
+    return x.T @ (q * _loss_dz(x @ w, ds.targets, loss))
+
+
+def assert_close_to_dense(grad, ds, loss, w, q):
+    """Within 1e-13 of the sum of the terms' magnitudes: the two products sum in another order."""
+    x = ds.features
+    terms = np.abs(x).T @ np.abs(q * _loss_dz(x @ w, ds.targets, loss))
+    assert np.all(np.abs(grad - dense_adjoint(ds, loss, w, q)) <= 1e-13 * terms)
+
+
+class TestSupportRestrictedAdjoint:
+    """From 2000 rows, the adjoint reads only the rows of nonzero weight when they are few enough."""
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("d", [20, 250])
+    def test_both_sides_of_the_share_rule(self, loss, d, monkeypatch):
+        n = 4000
+        ds, lm, w, rng = support_instance(loss, n, d)
+        pays, decisions = models._support_pays, []
+
+        def spy(count, rows, width):
+            decisions.append(pays(count, rows, width))
+            return decisions[-1]
+
+        monkeypatch.setattr(models, "_support_pays", spy)
+        limit = max(count for count in range(n + 1) if pays(count, n, d))
+        for count in (1, n // 100, limit, limit + 1, n):
+            q = weights_on(rng, n, count)
+            assert_close_to_dense(lm.adjoint_apply(w, q), ds, loss, w, q)
+        assert decisions == [True, True, True, False, False]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "3B+1"])
+    def test_block_edges(self, offset):
+        n, d = 2000, 640
+        block = models._BLOCK_ELEMENTS // d
+        count = 3 * block + 1 if offset == "3B+1" else block + offset
+        assert models._support_pays(count, n, d)
+        ds, lm, w, rng = support_instance("squared", n, d)
+        q = weights_on(rng, n, count)
+        assert_close_to_dense(lm.adjoint_apply(w, q), ds, "squared", w, q)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_zero_weights_give_exact_zeros(self, loss):
+        ds, lm, w, _ = support_instance(loss, 3000, 20)
+        grad = lm.adjoint_apply(w, np.zeros(3000))
+        assert grad.shape == (20,) and not np.signbit(grad).any() and np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_one_hot_weight_bits_match_the_dense_product(self, loss):
+        # one term: no summation order to differ, as in the subdifferential's basis calls
+        ds, lm, w, rng = support_instance(loss, 3000, 20)
+        for i in (0, 1234, 2999):
+            q = np.zeros(3000)
+            q[i] = rng.uniform(0.1, 2.0)
+            assert np.array_equal(lm.adjoint_apply(w, q), dense_adjoint(ds, loss, w, q))
+
+    def test_rows_of_zero_weight_are_not_read(self):
+        # a row whose prediction overflows stays out of the gradient when its weight is zero
+        ds, _, w, rng = support_instance("squared", 3000, 20)
+        x = ds.features.copy()
+        x[7] = 1e308
+        lm = pointwise_loss_map(Dataset(x, ds.targets), ModelSpec())
+        q = weights_on(rng, 3000, 30)
+        q[7] = 0.0
+        with np.errstate(over="ignore"):
+            grad = lm.adjoint_apply(np.abs(w), q)
+        assert np.all(np.isfinite(grad))
+        x[7] = 0.0
+        assert_close_to_dense(grad, Dataset(x, ds.targets), "squared", np.abs(w), q)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_grouped_map_with_zero_weight_groups(self, loss):
+        n, m = 4000, 40
+        ds, _, w, rng = support_instance(loss, n, 20)
+        assignment = rng.permutation(n) % m
+        gm = grouped_loss_map(ds, ModelSpec(kind="linear", loss=loss), GroupStructure(assignment))
+        q = weights_on(rng, m, 4)
+        row_weights = (q / np.bincount(assignment))[assignment]
+        assert_close_to_dense(gm.adjoint_apply(w, q), ds, loss, w, row_weights)
+
+    def test_memory_is_bounded_by_one_block(self):
+        # 15% of 20000 x 250 gathered at once would be 6 MB; one block is 1 MiB
+        n, d = 20000, 250
+        ds, lm, w, rng = support_instance("squared", n, d)
+        q = weights_on(rng, n, 3000)
+        lm.eval(w)
+        tracemalloc.start()
+        try:
+            grad = lm.adjoint_apply(w, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
+        assert_close_to_dense(grad, ds, "squared", w, q)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_in_place_change_is_recomputed(self, loss):
+        ds, lm, w, rng = support_instance(loss, 3000, 20)
+        q = weights_on(rng, 3000, 100)
+        lm.eval(w)
+        w[:] = rng.normal(0, 1, 20)
+        assert_close_to_dense(lm.adjoint_apply(w, q), ds, loss, w, q)
+
+    def test_weights_of_another_shape_are_rejected(self):
+        # the dense product's broadcast check, not a gather from the first rows
+        _, lm, w, _ = support_instance("squared", 3000, 20)
+        with pytest.raises(ValueError):
+            lm.adjoint_apply(w, np.ones(2999))
 
 
 class TestGroupStructure:
