@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_sample, quantile, superquantile_dual, superquantile_integral, superquantile_variational
+from .core import as_sample, check_tail, quantile, superquantile_dual, superquantile_integral, superquantile_variational
 from .data import load_csv
 from .experiments import (
     STUDY_SMOOTHING,
@@ -42,7 +42,7 @@ from .experiments import (
     run_toyreg,
     synthetic_credit,
 )
-from .models import ModelSpec, pointwise_loss_map
+from .models import LOSSES, ModelSpec, pointwise_loss_map
 from .smoothing import _KINDS, SmoothingSpec, smoothed_superquantile
 
 EXPERIMENTS = ("toyreg", "federated", "fairness", "abalone", "credit", "convergence")
@@ -53,10 +53,11 @@ __all__ = ["main", "entry"]
 
 
 def _tail_level(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"p must be in [0, 1), got {text}")
-    return value
+    value = float(text)  # a ValueError here is argparse's "invalid _tail_level value"
+    try:
+        return check_tail(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_model(text: str) -> tuple[str, int]:
@@ -106,7 +107,7 @@ def cmd_eval(args) -> None:
     if args.smoothing is not None and args.nu is None:
         raise ValueError("--smoothing applies only with --nu")
     values = _read_values(args)
-    spec = None if args.nu is None else SmoothingSpec(args.smoothing or "euclidean", args.nu)
+    spec = None if args.nu is None else SmoothingSpec(args.smoothing or STUDY_SMOOTHING.kind, args.nu)
     p = args.p
     print(f"n: {values.size}")
     print(f"p: {p!r}")
@@ -198,10 +199,9 @@ def cmd_sweep_nu(args) -> None:
             raise ValueError("--nu applies only with --fit-first")
         if args.weights is None and not args.fit_first:
             raise ValueError("provide --weights FILE or --fit-first with --data")
-        kind, degree = args.model or ("linear", 1)
         nu = STUDY_SMOOTHING.nu if args.nu is None else args.nu
         # both specs are checked before the data is read; --weights leaves the strength at its default
-        settings = FitSettings(model=ModelSpec(kind=kind, degree=degree, loss=args.loss or "squared"),
+        settings = FitSettings(model=ModelSpec(*(args.model or ()), loss=args.loss or ModelSpec.loss),
                                p=args.p, smoothing=SmoothingSpec(args.smoothing, nu), seed=args.seed)
         dataset = load_csv(args.data, task=settings.model.task)
         loss_map = pointwise_loss_map(dataset, settings.model)
@@ -233,19 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--p", type=_tail_level, required=True)
     p_eval.add_argument("--nu", type=float, default=None, help="also report the smoothed value")
     p_eval.add_argument("--smoothing", choices=tuple(_KINDS), default=None,
-                        help="divergence of the smoothed value, needs --nu (default: euclidean)")
+                        help=f"divergence of the smoothed value, needs --nu (default: {STUDY_SMOOTHING.kind})")
     p_eval.set_defaults(func=cmd_eval)
 
     p_fit = sub.add_parser("fit", help="train mean-loss and tail-risk models on a CSV", allow_abbrev=False)
     p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--loss", choices=("squared", "logistic"), default="squared")
-    p_fit.add_argument("--model", type=_parse_model, default=("linear", 1))
-    p_fit.add_argument("--p", type=_tail_level, default=0.9)
+    defaults = FitSettings()  # of fit, and of sweep-nu's model and seed
+    p_fit.add_argument("--loss", choices=LOSSES, default=defaults.model.loss)
+    p_fit.add_argument("--model", type=_parse_model, default=(defaults.model.kind, defaults.model.degree))
+    p_fit.add_argument("--p", type=_tail_level, default=defaults.p)
     p_fit.add_argument("--nu", type=float, default=STUDY_SMOOTHING.nu)
     p_fit.add_argument("--smoothing", choices=tuple(_KINDS), default=STUDY_SMOOTHING.kind)
-    p_fit.add_argument("--reg", type=float, default=0.0)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--split", type=float, default=0.8, help="train fraction")
+    p_fit.add_argument("--reg", type=float, default=defaults.reg)
+    p_fit.add_argument("--seed", type=int, default=defaults.seed)
+    p_fit.add_argument("--split", type=float, default=defaults.train_fraction, help="train fraction")
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -264,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_source.add_argument("--values", default=None, help="comma-separated loss values")
     sweep_source.add_argument("--input", default=None, help="CSV file of loss values")
     sweep_source.add_argument("--data", default=None, help="dataset CSV (model mode)")
-    p_sweep.add_argument("--loss", choices=("squared", "logistic"), default=None,
-                         help="--data mode only (default: squared)")
+    p_sweep.add_argument("--loss", choices=LOSSES, default=None,
+                         help=f"--data mode only (default: {defaults.model.loss})")
     p_sweep.add_argument("--model", type=_parse_model, default=None,
-                         help="--data mode only (default: linear)")
+                         help=f"--data mode only (default: {defaults.model.kind})")
     sweep_point = p_sweep.add_mutually_exclusive_group()
     sweep_point.add_argument("--weights", default=None, help="file of fixed model weights")
     sweep_point.add_argument("--fit-first", action="store_true",
@@ -275,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p", type=_tail_level, required=True)
     p_sweep.add_argument("--nu", type=float, default=None,
                          help=f"strength used by --fit-first (default: {STUDY_SMOOTHING.nu})")
-    p_sweep.add_argument("--smoothing", choices=tuple(_KINDS), default="euclidean")
+    p_sweep.add_argument("--smoothing", choices=tuple(_KINDS), default=STUDY_SMOOTHING.kind)
     p_sweep.add_argument("--grid", type=_float_list, default=None,
                          help="comma-separated nu grid (default: log-spaced around the data scale)")
-    p_sweep.add_argument("--seed", type=int, default=0, help="read by --fit-first only")
+    p_sweep.add_argument("--seed", type=int, default=defaults.seed, help="read by --fit-first only")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep_nu)
     return parser

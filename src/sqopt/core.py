@@ -64,6 +64,19 @@ def check_tail(p: float) -> float:
     return p
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_vector(values, size: int, name: str = "weights") -> np.ndarray:
+    """``values`` as a float array of shape ``(size,)``; any other shape raises ``ValueError``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {values.shape}")
+    return values
+
+
 def tail_cap(n: int, p: float) -> float:
     """Per-coordinate bound 1/(n(1-p)) of the capped simplex."""
     return 1.0 / (n * (1.0 - p))

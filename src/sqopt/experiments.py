@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_sample, superquantile
-from .data import SyntheticSpec, downsample_majority, generate_quadratic, split_indices
+from .data import X_HIGH, X_LOW, SyntheticSpec, _quadratic, downsample_majority, generate_quadratic, split_indices
 from .models import Dataset, GroupStructure, ModelSpec, group_metrics, pointwise_loss_map, grouped_loss_map, predict
 from .optim import CONVERGED, minimize
 from .oracles import erm_objective, smoothed_objective
@@ -46,7 +46,9 @@ CREDIT_SEEDS = 5
 CREDIT_DOWNSAMPLE_RATIO = 0.10
 FEDERATED_CONFORMITY_LEVEL = 0.2
 NU_GRID_POINTS = 13
-# the smoothing of every study fit, and the default of ``fit``
+# the smoothing of every study fit, and the command line's default: of
+# ``fit --smoothing/--nu``, of ``sweep-nu --smoothing`` and ``--nu`` (with
+# ``--fit-first``), and of ``eval --smoothing`` (with ``--nu``)
 STUDY_SMOOTHING = SmoothingSpec("euclidean", 0.1)
 
 
@@ -89,12 +91,6 @@ def classification_metrics(targets: np.ndarray, margins: np.ndarray) -> dict:
     else:
         precision = 0.0
     return {"accuracy": accuracy, "precision": precision}
-
-
-def _split_metrics(targets: np.ndarray, preds: np.ndarray, task: str) -> dict:
-    if task == "regression":
-        return regression_metrics(targets, preds)
-    return classification_metrics(targets, preds)
 
 
 def _records(**columns) -> list[dict]:
@@ -144,13 +140,14 @@ def fit_models(dataset: Dataset, settings: FitSettings,
         "models": {},
     }
     fits = {"erm": erm_result, "superquantile": sq_result}
+    metrics = regression_metrics if model.task == "regression" else classification_metrics
     all_preds = {}
     for name, result in fits.items():
         preds = all_preds[name] = predict(dataset, model, result.w_star)
         entry = {
             "optim": _optim_summary(result),
             "metrics": {
-                split: _split_metrics(dataset.targets[idx], preds[idx], model.task)
+                split: metrics(dataset.targets[idx], preds[idx])
                 for split, idx in (("train", train_idx), ("test", test_idx))
             },
         }
@@ -383,12 +380,10 @@ def run_convergence(seed: int = 0) -> tuple[dict, list[dict]]:
     ``CONVERGENCE_SIZES``.
     """
     sizes, replicates = CONVERGENCE_SIZES, CONVERGENCE_REPLICATES
-    w_bar = np.array(TOY_W_BAR)
 
     def loss_sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        # squared loss of the zero model, whose prediction is exactly +0.0
-        x = rng.uniform(-1.0, 3.0, size)
-        y = w_bar[0] + w_bar[1] * x + w_bar[2] * x**2 + rng.normal(0.0, 1.0, size)
+        # squared loss of the zero model, whose prediction is exactly +0.0, on the toy sample
+        y = _quadratic(TOY_W_BAR, rng.uniform(X_LOW, X_HIGH, size)) + rng.normal(0.0, 1.0, size)
         return 0.5 * y**2
 
     children = np.random.SeedSequence(seed).spawn(1 + len(sizes) * replicates)

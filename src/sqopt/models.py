@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _as_vector, _is_integer
 from .oracles import LossMap
 
 __all__ = [
+    "LOSSES",
     "Dataset",
     "ModelSpec",
     "GroupStructure",
@@ -25,6 +27,17 @@ __all__ = [
     "conformity",
     "group_metrics",
 ]
+
+# the losses of ModelSpec, and the choices of the command line's --loss
+LOSSES = ("squared", "logistic")
+
+
+def _integral(values, name: str) -> np.ndarray:
+    """``values`` as a float array, if every entry is a finite integer such as ``1`` or ``1.0``."""
+    values = np.asarray(values, dtype=float)
+    if not (np.isfinite(values) & (np.trunc(values) == values)).all():
+        raise ValueError(f"{name} must be finite integers")
+    return values
 
 
 @dataclass(frozen=True)
@@ -53,10 +66,14 @@ class Dataset:
         return self.features.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        """Rows at integer positions or where a boolean mask is true."""
+        """Rows at integer positions or where a boolean mask is true.
+
+        A position may be an integral float such as ``1.0``; any other float,
+        or a NaN or infinite one, raises ``ValueError``.
+        """
         idx = np.asarray(indices)
         if idx.dtype != bool:  # positions, an empty list too
-            idx = idx.astype(int, copy=False)
+            idx = _integral(idx, "row indices").astype(int)
         return Dataset(self.features[idx], self.targets[idx])
 
 
@@ -75,13 +92,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
+        if not _is_integer(self.degree):
             raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         if self.kind == "linear" and self.degree != 1:
             raise ValueError(f"a linear model has degree 1, got {self.degree}")
-        if self.loss not in ("squared", "logistic"):
+        if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
 
     @property
@@ -102,11 +119,9 @@ class GroupStructure:
     alpha: np.ndarray = None
 
     def __post_init__(self):
-        indices = np.asarray(self.assignment, dtype=float).reshape(-1)
+        indices = _integral(self.assignment, "group indices").reshape(-1)
         if indices.size == 0:
             raise ValueError("empty group assignment")
-        if not (np.isfinite(indices) & (np.trunc(indices) == indices)).all():
-            raise ValueError("group indices must be finite integers")
         if indices.min() < 0:
             raise ValueError("group indices must be nonnegative")
         # m groups need m rows: checked before the counts, which take max + 1 entries
@@ -150,10 +165,7 @@ def design_matrix(dataset: Dataset, model: ModelSpec) -> np.ndarray:
 
 def predict(dataset: Dataset, model: ModelSpec, w) -> np.ndarray:
     phi = design_matrix(dataset, model)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (phi.shape[1],):
-        raise ValueError(f"expected weight vector of length {phi.shape[1]}, got shape {w.shape}")
-    return phi @ w
+    return phi @ _as_vector(w, phi.shape[1], "model weights")
 
 
 def _loss_values(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
@@ -180,9 +192,8 @@ def _loss_dz(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
 # skips: with one BLAS thread at d = 20 the restricted product took 2.4 times
 # the dense 2.8 us at n = 276 whatever the support, 1.35-1.6 times at n = 1000
 # and 1-10% support, 0.8-1.5 times at n = 2000 and 0.5-0.85 times at n = 4000.
-# The gate is the candidate filter's (``_FILTER_MIN_SIZE`` in
-# ``sqopt.smoothing``); it keeps the studies' fits of a few hundred rows on the
-# dense product, bit for bit.
+# It keeps the studies' fits of a few hundred rows on the dense product, bit
+# for bit.
 _SUPPORT_MIN_ROWS = 2000
 # Gathered rows per block, as float64 elements: 1 MiB, so that the restricted
 # adjoint's peak memory does not grow with the support.
@@ -205,6 +216,9 @@ def _support_pays(count: int, n: int, d: int) -> bool:
 
 def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     """One loss component per observation.
+
+    ``adjoint_apply(w, q)`` takes one weight per observation, a ``q`` of
+    shape ``(n,)``; any other shape raises ``ValueError``.
 
     The map keeps the predictions ``phi @ w`` of the latest point it saw,
     keyed on the exact bytes of ``w``, so an ``adjoint_apply`` at the point
@@ -241,10 +255,9 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
         return _loss_values(predictions(w), y, loss)
 
     def adjoint(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+        q = _as_vector(q, n)
         z = predictions(w)
-        q = np.asarray(q, dtype=float)
-        # a q of another shape takes the dense product, which rejects it or broadcasts it as before
-        if q.shape == y.shape and n >= _SUPPORT_MIN_ROWS:
+        if n >= _SUPPORT_MIN_ROWS:
             carried = q != 0
             count = np.count_nonzero(carried)
             if _support_pays(count, n, d):
@@ -261,6 +274,9 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
 
 def grouped_loss_map(dataset: Dataset, model: ModelSpec, groups: GroupStructure) -> LossMap:
     """One loss component per group: the plain average over the group's rows.
+
+    ``adjoint_apply(w, q)`` takes one weight per group, a ``q`` of shape
+    ``(m,)``; any other shape raises ``ValueError``.
 
     Only uniform group weights are supported; a structure with any other
     ``alpha`` is rejected.  Minimizing the tail risk of this map at level
@@ -280,8 +296,7 @@ def grouped_loss_map(dataset: Dataset, model: ModelSpec, groups: GroupStructure)
         return np.bincount(assign, weights=base.eval(w), minlength=m) / counts
 
     def adjoint(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-        row_weights = (np.asarray(q, dtype=float) / counts)[assign]
-        return base.adjoint_apply(w, row_weights)
+        return base.adjoint_apply(w, (_as_vector(q, m) / counts)[assign])
 
     return LossMap(dim=base.dim, n=m, eval=eval_losses, adjoint_apply=adjoint)
 

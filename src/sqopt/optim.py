@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_integer
 from .oracles import finite_difference_grad
 
 __all__ = ["OptimResult", "minimize", "check_oracle"]
@@ -132,7 +133,7 @@ def minimize(oracle, w0, max_iter: int = 500) -> OptimResult:
     0 returns the start), or an unusable line search
     (``line_search_failure``, including non-finite oracle output).
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+    if not _is_integer(max_iter) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     w = np.array(w0, dtype=float).copy()
     f, g = oracle(w)

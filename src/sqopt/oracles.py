@@ -45,7 +45,9 @@ class LossMap:
     """Differentiable map from parameters to ``n`` component losses.
 
     ``eval(w)`` returns the loss vector; ``adjoint_apply(w, q)`` returns the
-    q-weighted sum of the component gradients, linear in ``q``.  A loss
+    q-weighted sum of the component gradients, linear in ``q``, for a ``q``
+    of shape ``(n,)``, one weight per component (the maps of
+    :mod:`sqopt.models` reject any other shape with ``ValueError``).  A loss
     map's results depend only on its arguments; an implementation may reuse
     work from its latest point (the oracles call ``adjoint_apply`` at the
     point of the preceding ``eval``), and its adjoint may skip the components

@@ -59,7 +59,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import _quantile, as_sample, check_tail, tail_cap
+from .core import _as_vector, _is_integer, _quantile, as_sample, check_tail, tail_cap
 
 __all__ = [
     "SmoothingSpec",
@@ -130,12 +130,6 @@ class DualSolution:
     start: float = math.nan
 
 
-def _check_count(n) -> None:
-    """Reject a sample size that is not an integer >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"sample size n must be an integer >= 1, got {n!r}")
-
-
 class _Divergence:
     """One smoothing kind at fixed ``(nu, n, p)``; the subclasses are the kinds.
 
@@ -157,7 +151,8 @@ class _Divergence:
     """
 
     def __init__(self, nu: float, n: int, p: float):
-        _check_count(n)
+        if not _is_integer(n) or n < 1:
+            raise ValueError(f"sample size n must be an integer >= 1, got {n!r}")
         self.nu, self.n, self.p = nu, n, check_tail(p)
         self.cap = tail_cap(n, self.p)
 
@@ -264,24 +259,6 @@ def _slope_eps(p: float) -> float:
     return max(1e-12, 16.0 * np.finfo(float).eps / (1.0 - p))
 
 
-def _bisect(u: np.ndarray, kind: _Divergence, lo: float, hi: float) -> tuple[float, float, float]:
-    """Bisection on the dual derivative, assuming slope(lo) <= 0 <= slope(hi).
-
-    Returns the last midpoint and the bracket around it.
-    """
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        weights, _ = kind.weights_and_curvature(u - mid)
-        s = float(1.0 - weights.sum())
-        if abs(s) <= _BISECT_TOL or hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
-            break
-        if s < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid, lo, hi
-
-
 def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray,
                  kind: _Divergence, sums: tuple[float, float]) -> tuple[np.ndarray, float]:
     """Weights and value of the threshold ``shift + eta`` from a solve's last pass at ``s = v - eta``.
@@ -318,7 +295,11 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
     ``start``, a threshold measured from the sample's p-quantile such as a
     nearby sample's ``DualSolution.start``, replaces the cold start when it
     lies strictly inside the bracket (not ``None``, NaN or infinite).
-    Measured from the quantile, it follows losses that move as a whole.
+    Measured from the quantile, it follows losses that move as a whole.  A
+    warm solve keeps near its start where the ``kl`` model has no root (the
+    capped rows alone hold weight 1): it takes the Newton step in ``eta``,
+    ``-nu * slope / curvature``, under the same safeguards, where a cold
+    solve bisects.
 
     Before the first pass, on samples of at least ``_FILTER_MIN_SIZE`` rows
     (below it the mask, gather and scatter cost more than they save), the
@@ -347,9 +328,8 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
             # several times faster than indexing with the mask itself
             candidates = np.flatnonzero(keep)
             v = v[candidates]
-    eta = -kind.s_uniform
-    if start is not None and lo < start < hi:
-        eta = start
+    warm = start is not None and lo < start < hi
+    eta = start if warm else -kind.s_uniform
     tol = _slope_eps(kind.p)
     previous = math.inf
 
@@ -367,7 +347,12 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
             lo = eta
         else:
             hi = eta
-        step = eta + kind.step(slope, sums[1])
+        move = kind.step(slope, sums[1])
+        if warm and math.isinf(move) and sums[1] > 0.0:
+            # a KL model without a root: a warm start lies near the root, which a
+            # bisection of the cold bracket would leave, so step in eta instead
+            move = -kind.nu * slope / sums[1]
+        step = eta + move
         if not lo < step < hi or abs(slope) > 0.5 * previous:
             step = 0.5 * (lo + hi)
             if not lo < step < hi:
@@ -398,7 +383,16 @@ def bisect_dual(values, spec: SmoothingSpec, p: float) -> DualSolution:
     # e^-2/n, and the slope positive
     lo = -spec.nu - 1.0
     hi = float(v.max()) + spec.nu + 1.0
-    eta, lo, hi = _bisect(v, kind, lo, hi)
+    for _ in range(_BISECT_MAX_ITER):
+        eta = 0.5 * (lo + hi)
+        weights, _ = kind.weights_and_curvature(v - eta)
+        slope = float(1.0 - weights.sum())
+        if abs(slope) <= _BISECT_TOL or hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
+            break
+        if slope < 0.0:
+            lo = eta
+        else:
+            hi = eta
     s = v - eta
     weights, curvature = kind.weights_and_curvature(s)
     total = float(weights.sum())
@@ -432,10 +426,7 @@ def divergence(q, spec: SmoothingSpec, n: int) -> float:
     """Divergence D of a weight vector of length n from the uniform distribution."""
     # D does not depend on the tail, so any p builds the record
     kind = _KINDS[spec.kind](spec.nu, n, 0.0)
-    q_arr = np.asarray(q, dtype=float)
-    if q_arr.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {q_arr.shape}")
-    return kind.divergence(q_arr)
+    return kind.divergence(_as_vector(q, n))
 
 
 def divergence_max(spec: SmoothingSpec, n: int, p: float) -> float:
@@ -463,12 +454,12 @@ def smoothed_positive_part(x, spec: SmoothingSpec, n: int, p: float):
     :func:`scalar_conjugate`; evaluating the shifted sum of these terms and
     minimizing over the shift reproduces :func:`smoothed_superquantile`.
     """
-    p = check_tail(p)
-    _check_count(n)
+    kind = _KINDS[spec.kind](spec.nu, n, p)  # the record checks n and p
+    p = kind.p
     nu = spec.nu
     c = n * (1.0 - p)
     x_arr = np.asarray(x, dtype=float)
-    if _KINDS[spec.kind] is _Euclidean:
+    if isinstance(kind, _Euclidean):
         t = np.clip((1.0 - p) + x_arr * c / nu, 0.0, 1.0)
         out = x_arr * t - nu * (t - (1.0 - p)) ** 2 / (2.0 * c)
     else:
@@ -617,8 +608,7 @@ def density_from_smoothing(spec: SmoothingSpec, n: int, p: float) -> SmoothingDe
     """
     if _KINDS[spec.kind] is not _Euclidean:
         raise ValueError("density reconstruction is implemented for the 'euclidean' kind only")
-    p = check_tail(p)
-    _check_count(n)
+    p = _Euclidean(spec.nu, n, p).p  # the record checks n and p
     nu = spec.nu
     density = DensitySpec("uniform", -1.0 / n, p / (n * (1.0 - p)))
     tail_value = -nu * (1.0 - p) / (2.0 * n)

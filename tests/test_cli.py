@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqopt.cli import main
-from sqopt.experiments import synthetic_credit
+from sqopt.cli import build_parser, main
+from sqopt.experiments import STUDY_SMOOTHING, FitSettings, synthetic_credit
+from sqopt.models import LOSSES, ModelSpec
+from sqopt.smoothing import SmoothingSpec
 
 
 def run(args):
@@ -454,6 +456,36 @@ class TestSweep:
                     "--p", "0.9", "--out", str(tmp_path / "s")]) == 2
         assert "only with --fit-first" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+
+class TestDefaultsComeFromTheLibrary:
+    """fit and sweep-nu take their defaults from FitSettings, ModelSpec and STUDY_SMOOTHING, and restate none."""
+
+    def test_fit(self):
+        settings = FitSettings()
+        assert settings.model == ModelSpec() and settings.smoothing == STUDY_SMOOTHING
+        args = build_parser().parse_args(["fit", "--data", "d.csv", "--out", "o"])
+        assert ModelSpec(*args.model, loss=args.loss) == ModelSpec()
+        assert SmoothingSpec(args.smoothing, args.nu) == STUDY_SMOOTHING
+        assert (args.p, args.reg, args.seed, args.split) == (settings.p, settings.reg, settings.seed,
+                                                             settings.train_fraction)
+        for loss in LOSSES:
+            assert build_parser().parse_args(["fit", "--data", "d.csv", "--loss", loss, "--out", "o"]).loss == loss
+
+    def test_sweep_nu(self, capsys):
+        args = build_parser().parse_args(["sweep-nu", "--values", "1,2", "--p", "0.5", "--out", "o"])
+        assert (args.smoothing, args.seed) == (STUDY_SMOOTHING.kind, FitSettings().seed)
+        # unset, so that they are rejected without --data; the help names the defaults they fall back to
+        assert (args.loss, args.model, args.nu) == (None, None, None)
+        with pytest.raises(SystemExit):
+            main(["sweep-nu", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for default in (ModelSpec().loss, ModelSpec().kind, STUDY_SMOOTHING.nu):
+            assert f"(default: {default})" in help_text
+
+    def test_eval_smoothing(self, capsys):
+        assert run(["eval", "--values", "1,2,3", "--p", "0.5", "--nu", "0.1"]) == 0
+        assert f"smoothed ({STUDY_SMOOTHING.kind}, nu=0.1)" in capsys.readouterr().out
 
 
 class TestAbbreviatedOptionsRejected:

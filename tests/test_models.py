@@ -53,6 +53,16 @@ class TestDataset:
         np.testing.assert_array_equal(sub.features[:, 0], [3.0, 4.0])
         assert ds.subset([]).n_rows == 0
 
+    def test_subset_positions_must_be_integers(self):
+        # a cast to int would truncate [0.7, 2.9] to rows 0 and 2
+        ds = Dataset(np.arange(5.0)[:, None], np.arange(5.0))
+        for indices in ([0.7], [0.7, 2.9], [1, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="row indices must be finite integers"):
+                ds.subset(indices)
+        np.testing.assert_array_equal(ds.subset([1.0]).targets, [1.0])
+        np.testing.assert_array_equal(ds.subset(np.array([1.0, 3.0])).targets, [1.0, 3.0])
+        np.testing.assert_array_equal(ds.subset([True, False, True, False, False]).targets, [0.0, 2.0])
+
 
 class TestModelSpec:
     def test_validation(self):
@@ -402,10 +412,34 @@ class TestSupportRestrictedAdjoint:
         assert_close_to_dense(lm.adjoint_apply(w, q), ds, loss, w, q)
 
     def test_weights_of_another_shape_are_rejected(self):
-        # the dense product's broadcast check, not a gather from the first rows
+        # the adjoint's shape check, not a gather from the first rows
         _, lm, w, _ = support_instance("squared", 3000, 20)
         with pytest.raises(ValueError):
             lm.adjoint_apply(w, np.ones(2999))
+
+
+class TestWeightShape:
+    """An adjoint takes one weight per loss component and rejects any other shape, on either path."""
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("n", [50, 3000])
+    def test_pointwise_map(self, loss, n):
+        # a column was broadcast into an (n, n) product and a scalar read as equal weights
+        _, lm, w, _ = support_instance(loss, n, 3)
+        lm.eval(w)
+        for q in (np.full((n, 1), 1.0 / n), 1.0 / n, np.full((1, n), 1.0 / n), np.full(n + 1, 1.0 / n)):
+            with pytest.raises(ValueError, match="shape"):
+                lm.adjoint_apply(w, q)
+        assert lm.adjoint_apply(w, np.full(n, 1.0 / n)).shape == (3,)
+
+    def test_grouped_map(self):
+        # a scalar was divided by the group counts and expanded to the rows
+        ds, _, w, _ = support_instance("squared", 60, 3)
+        gm = grouped_loss_map(ds, ModelSpec(), GroupStructure(np.arange(60) % 4))
+        for q in (np.full((4, 1), 0.25), 0.25, np.full(60, 1.0 / 60)):
+            with pytest.raises(ValueError, match="shape"):
+                gm.adjoint_apply(w, q)
+        assert gm.adjoint_apply(w, np.full(4, 0.25)).shape == (3,)
 
 
 class TestGroupStructure:

@@ -408,6 +408,36 @@ class TestWarmStartEdgeBattery:
             assert sol.threshold == cold.threshold and sol.value == cold.value
             assert sol.weights.tobytes() == cold.weights.tobytes()
 
+    @pytest.mark.parametrize("nu", [0.01, 0.03])
+    def test_kl_warm_start_is_kept_where_the_model_has_no_root(self, nu, monkeypatch):
+        # scripts/dual_timing.py's seed-0 sample at n = 160, p = 0.9, moved by a relative 1e-3: at
+        # the warm start the 16 capped rows alone hold weight 1, so the Newton model in
+        # x = exp(-eta/nu) has no root; bisecting the cold bracket from there took 14 passes
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(160)
+        u = 0.5 * ((0.5 + np.abs(x)) * rng.standard_normal(160)) ** 2
+        moved = u * (1.0 + 1e-3 * rng.standard_normal(160))
+        spec = SmoothingSpec("kl", nu)
+        start = solve_dual_1d(u, spec, 0.9).start
+        record = smoothing_module._KINDS["kl"]
+        weights_and_curvature = record.weights_and_curvature
+        passes = []
+
+        def counted_pass(*args):
+            passes[-1] += 1
+            return weights_and_curvature(*args)
+
+        monkeypatch.setattr(record, "weights_and_curvature", counted_pass)
+        solves = []
+        for guess in (None, start):
+            passes.append(0)
+            solves.append(solve_dual_1d(moved, spec, 0.9, start=guess))
+        monkeypatch.undo()
+        cold, warm = solves
+        assert 0 < passes[1] <= passes[0]
+        assert warm.value == pytest.approx(cold.value, rel=1e-14)
+        np.testing.assert_allclose(warm.weights, cold.weights, rtol=0.0, atol=1e-12)
+
 
 def floor_rows(u, spec, p):
     """Rows that the dual solve's filter drops by its rule: ``v_i <= lo + s_floor``.
