@@ -28,7 +28,6 @@ from .models import (
     conformity,
     design_matrix,
     grouped_loss_map,
-    group_metrics,
     pointwise_loss_map,
     predict,
 )

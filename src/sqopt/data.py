@@ -65,7 +65,7 @@ def generate_quadratic(spec: SyntheticSpec) -> tuple[Dataset, GroupStructure | N
     With a mixture, the last ``round(fraction * n)`` rows follow the
     alternate coefficients and the returned group structure assigns the
     conforming rows round-robin to four devices and the alternate rows to a
-    fifth one, with uniform device weights.
+    fifth one.
     """
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(X_LOW, X_HIGH, spec.n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import as_sample, superquantile
 from .data import X_HIGH, X_LOW, SyntheticSpec, _quadratic, downsample_majority, generate_quadratic, split_indices
-from .models import Dataset, GroupStructure, ModelSpec, group_metrics, pointwise_loss_map, grouped_loss_map, predict
+from .models import Dataset, GroupStructure, ModelSpec, pointwise_loss_map, grouped_loss_map, predict
 from .optim import CONVERGED, minimize
 from .oracles import erm_objective, smoothed_objective
 from .smoothing import SmoothingSpec, divergence_max, smoothed_superquantile
@@ -141,6 +141,7 @@ def fit_models(dataset: Dataset, settings: FitSettings,
     }
     fits = {"erm": erm_result, "superquantile": sq_result}
     metrics = regression_metrics if model.task == "regression" else classification_metrics
+    group_map = None if groups is None else grouped_loss_map(dataset, model, groups)
     all_preds = {}
     for name, result in fits.items():
         preds = all_preds[name] = predict(dataset, model, result.w_star)
@@ -151,8 +152,8 @@ def fit_models(dataset: Dataset, settings: FitSettings,
                 for split, idx in (("train", train_idx), ("test", test_idx))
             },
         }
-        if groups is not None:
-            entry["group_losses"] = group_metrics(dataset, model, groups, result.w_star).tolist()
+        if group_map is not None:
+            entry["group_losses"] = group_map.eval(result.w_star).tolist()
         report["models"][name] = entry
 
     in_train = np.zeros(dataset.n_rows, dtype=bool)
@@ -214,7 +215,7 @@ def run_federated(seed: int = 0) -> tuple[dict, list[dict]]:
         "grouped_superquantile": minimize(smoothed_objective(device_map, p_grouped, STUDY_SMOOTHING), w0),
     }
 
-    subgroup = GroupStructure(np.where(groups.assignment == 4, 1, 0))
+    subgroup_map = grouped_loss_map(dataset, model, GroupStructure(np.where(groups.assignment == 4, 1, 0)))
     report = {
         "experiment": "federated",
         "seed": seed,
@@ -227,8 +228,8 @@ def run_federated(seed: int = 0) -> tuple[dict, list[dict]]:
         preds[f"prediction_{name}"] = predict(dataset, model, result.w_star)
         report["models"][name] = {
             "optim": _optim_summary(result),
-            "device_losses": group_metrics(dataset, model, groups, result.w_star).tolist(),
-            "subgroup_losses": group_metrics(dataset, model, subgroup, result.w_star).tolist(),
+            "device_losses": device_map.eval(result.w_star).tolist(),
+            "subgroup_losses": subgroup_map.eval(result.w_star).tolist(),
         }
     predictions = _records(row=np.arange(dataset.n_rows), target=dataset.targets,
                            device=groups.assignment, **preds)

@@ -25,7 +25,6 @@ __all__ = [
     "pointwise_loss_map",
     "grouped_loss_map",
     "conformity",
-    "group_metrics",
 ]
 
 # the losses of ModelSpec, and the choices of the command line's --loss
@@ -109,14 +108,14 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """Per-row group assignment (0..m-1) with weights summing to one.
+    """A partition of the rows: each row's group index, the groups 0..m-1 all non-empty.
 
     An index may be given as an integral float such as ``1.0``; any other
-    float, or a NaN or infinite index or weight, raises ``ValueError``.
+    float, or a NaN or infinite index, raises ``ValueError``.  The structure
+    holds no group weights: a group's loss is the plain average over its rows.
     """
 
     assignment: np.ndarray
-    alpha: np.ndarray = None
 
     def __post_init__(self):
         indices = _integral(self.assignment, "group indices").reshape(-1)
@@ -128,25 +127,13 @@ class GroupStructure:
         if indices.max() >= indices.size:
             raise ValueError("every group must be non-empty")
         a = indices.astype(int)
-        m = int(a.max()) + 1
-        counts = np.bincount(a, minlength=m)
-        if np.any(counts == 0):
+        if np.any(np.bincount(a) == 0):
             raise ValueError("every group must be non-empty")
-        if self.alpha is None:
-            alpha = np.full(m, 1.0 / m)
-        else:
-            alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
-            if alpha.shape != (m,):
-                raise ValueError(f"alpha must have one entry per group ({m})")
-            # written so that a NaN or infinite entry fails it too
-            if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-9):
-                raise ValueError("alpha must be finite, nonnegative and sum to one")
         object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n_groups(self) -> int:
-        return self.alpha.shape[0]
+        return int(self.assignment.max()) + 1
 
 
 def design_matrix(dataset: Dataset, model: ModelSpec) -> np.ndarray:
@@ -278,15 +265,12 @@ def grouped_loss_map(dataset: Dataset, model: ModelSpec, groups: GroupStructure)
     ``adjoint_apply(w, q)`` takes one weight per group, a ``q`` of shape
     ``(m,)``; any other shape raises ``ValueError``.
 
-    Only uniform group weights are supported; a structure with any other
-    ``alpha`` is rejected.  Minimizing the tail risk of this map at level
-    ``p = 1 - c`` protects every test mixture of the group distributions
-    whose conformity is at least ``c``.
+    Minimizing the tail risk of this map at level ``p = 1 - c`` protects
+    every test mixture of the group distributions whose conformity, against
+    the uniform mixture, is at least ``c``.
     """
     if groups.assignment.shape[0] != dataset.n_rows:
         raise ValueError("group assignment length must match the dataset")
-    if np.ptp(groups.alpha) > 1e-12:
-        raise ValueError("grouped_loss_map supports uniform group weights alpha only")
     base = pointwise_loss_map(dataset, model)
     assign = groups.assignment
     m = groups.n_groups
@@ -318,9 +302,3 @@ def conformity(pi, alpha) -> float:
     support = pi_arr > 0
     ratios = alpha_arr[support] / pi_arr[support]
     return float(min(ratios.min(), 1.0))
-
-
-def group_metrics(dataset: Dataset, model: ModelSpec, groups: GroupStructure, w) -> np.ndarray:
-    """Mean loss of model ``w`` on each group (regularization excluded; ``alpha`` is not read)."""
-    uniform = GroupStructure(groups.assignment)
-    return grouped_loss_map(dataset, model, uniform).eval(np.asarray(w, dtype=float))

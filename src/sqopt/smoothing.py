@@ -193,15 +193,25 @@ class _KL(_Divergence):
         self.s_floor, self.floor_value = -40.0 * nu, 0.0
 
     def weights_and_curvature(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights at ``s``; an unsaturated weight is its own curvature share."""
+        """Weights at ``s``; an unsaturated weight is its own curvature share.
+
+        ``s`` has at least one dimension: the saturated entries are written
+        in place, which costs less than a select over the whole array.
+        """
         saturated = s >= self.s_cap
         t = np.exp(np.minimum(s, self.s_cap) / self.nu - 1.0) / self.n
-        return np.where(saturated, self.cap, np.minimum(t, self.cap)), np.where(saturated, 0.0, t)
+        weights = np.minimum(t, self.cap)
+        weights[saturated] = self.cap
+        t[saturated] = 0.0
+        return weights, t
 
     def values(self, s: np.ndarray, weights: np.ndarray, curvature: np.ndarray) -> np.ndarray:
         # unsaturated, the value is nu * t, the curvature share; saturation is
         # tested on s, since an underflowed weight has zero curvature too
-        return np.where(s >= self.s_cap, self.cap * (s + self.nu * math.log1p(-self.p)), self.nu * curvature)
+        out = self.nu * curvature
+        saturated = s >= self.s_cap
+        out[saturated] = self.cap * (s[saturated] + self.nu * math.log1p(-self.p))
+        return out
 
     def step(self, slope: float, curvature: float) -> float:
         """Newton step taken in ``x = exp(-eta / nu)``.
@@ -230,11 +240,12 @@ def scalar_conjugate(s, spec: SmoothingSpec, n: int, p: float):
     very negative ``s`` the maximizer is ``t = 0`` and the value flattens at
     ``-nu d(0)`` (zero for ``kl``, ``-nu / (2 n^2)`` for ``euclidean``).
     """
-    s_arr = np.asarray(s, dtype=float)
+    # the passes write entries in place, so a scalar goes through as one entry
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     kind = _KINDS[spec.kind](spec.nu, n, p)
     weights, curvature = kind.weights_and_curvature(s_arr)
     out = kind.values(s_arr, weights, curvature)
-    return out if s_arr.ndim else float(out)
+    return out if np.ndim(s) else float(out[0])
 
 
 def scalar_conjugate_grad(s, spec: SmoothingSpec, n: int, p: float):
@@ -244,9 +255,9 @@ def scalar_conjugate_grad(s, spec: SmoothingSpec, n: int, p: float):
     branch is never exactly zero), ``cap`` above the saturation threshold,
     and the inverse divergence gradient in between.
     """
-    s_arr = np.asarray(s, dtype=float)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out, _ = _KINDS[spec.kind](spec.nu, n, p).weights_and_curvature(s_arr)
-    return out if s_arr.ndim else float(out)
+    return out if np.ndim(s) else float(out[0])
 
 
 def _slope_eps(p: float) -> float:

@@ -38,7 +38,7 @@ class TestSyntheticGenerator:
         assert counts.size == 5
         assert counts[4] == round(0.2 * 500)
         assert counts[:4].sum() == 400
-        np.testing.assert_allclose(groups.alpha, np.full(5, 0.2))
+        assert groups.n_groups == 5
         # alternate rows actually follow the alternate trend
         alt = groups.assignment == 4
         x = dataset.features[alt, 0]

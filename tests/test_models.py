@@ -16,7 +16,6 @@ from sqopt import (
     conformity,
     design_matrix,
     grouped_loss_map,
-    group_metrics,
     pointwise_loss_map,
     predict,
 )
@@ -451,15 +450,11 @@ class TestGroupStructure:
         with pytest.raises(ValueError, match="non-empty"):
             GroupStructure([0, 1e20])
 
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError, match="sum to one"):
-            GroupStructure(np.array([0, 1]), alpha=np.array([0.9, 0.9]))
-        with pytest.raises(ValueError, match="one entry per group"):
-            GroupStructure(np.array([0, 1]), alpha=np.array([1.0]))
-        # NaN fails every comparison: [nan, nan] must not pass as uniform weights in grouped_loss_map
-        for alpha in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf]):
-            with pytest.raises(ValueError, match="alpha must be finite"):
-                GroupStructure(np.array([0, 1]), alpha=alpha)
+    def test_group_weights_are_not_a_field(self):
+        # a partition holds no weights; a group's loss is the plain average over its rows
+        with pytest.raises(TypeError):
+            GroupStructure(np.array([0, 1]), alpha=np.array([0.7, 0.3]))
+        assert GroupStructure(np.array([0, 1, 2, 0])).n_groups == 3
 
     @pytest.mark.parametrize("assignment", [[0.5, 1.7, 1.2], [0, 1, 1.5], [0, 1, math.nan], [0, 1, math.inf]])
     def test_indices_must_be_finite_integers(self, assignment):
@@ -471,10 +466,6 @@ class TestGroupStructure:
         groups = GroupStructure([0.0, 1.0, 1.0, 2.0])
         assert groups.assignment.tolist() == [0, 1, 1, 2]
         assert groups.assignment.dtype.kind == "i"
-
-    def test_default_alpha_uniform(self):
-        groups = GroupStructure(np.array([0, 1, 2, 0]))
-        np.testing.assert_allclose(groups.alpha, [1 / 3] * 3)
 
 
 class TestGroupedLossMap:
@@ -519,14 +510,6 @@ class TestGroupedLossMap:
         assert gm.n == 1
         assert gm.eval(w)[0] == pytest.approx(pointwise_loss_map(ds, model).eval(w).mean(), rel=1e-14)
 
-    def test_non_uniform_alpha_rejected(self):
-        ds = Dataset(np.zeros((4, 1)), np.zeros(4))
-        assignment = np.array([0, 1, 0, 1])
-        with pytest.raises(ValueError, match="uniform"):
-            grouped_loss_map(ds, ModelSpec(), GroupStructure(assignment, alpha=np.array([0.7, 0.3])))
-        gm = grouped_loss_map(ds, ModelSpec(), GroupStructure(assignment, alpha=np.array([0.5, 0.5])))
-        assert gm.n == 2
-
     def test_assignment_length_checked(self):
         ds = Dataset(np.zeros((3, 1)), np.zeros(3))
         with pytest.raises(ValueError, match="match the dataset"):
@@ -569,20 +552,21 @@ class TestConformity:
 
 
 class TestGroupMetrics:
+    """Per-group mean losses, read from the grouped map's ``eval``."""
+
     def test_perfect_fit_zero_vector(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         y = 2 * x
         ds = Dataset(x[:, None], y)
-        metrics = group_metrics(ds, ModelSpec(kind="linear", loss="squared"),
-                                GroupStructure(np.array([0, 1, 0, 1])), np.array([2.0]))
-        np.testing.assert_allclose(metrics, np.zeros(2), atol=1e-15)
+        gm = grouped_loss_map(ds, ModelSpec(kind="linear", loss="squared"), GroupStructure(np.array([0, 1, 0, 1])))
+        np.testing.assert_allclose(gm.eval(np.array([2.0])), np.zeros(2), atol=1e-15)
 
     def test_single_group_equals_mean_loss(self):
         rng = np.random.default_rng(45)
         ds = Dataset(rng.normal(0, 1, (7, 2)), rng.normal(0, 1, 7))
         model = ModelSpec(kind="linear", loss="squared")
         w = rng.normal(0, 1, 2)
-        metrics = group_metrics(ds, model, GroupStructure(np.zeros(7, dtype=int)), w)
+        metrics = grouped_loss_map(ds, model, GroupStructure(np.zeros(7, dtype=int))).eval(w)
         assert metrics[0] == pytest.approx(pointwise_loss_map(ds, model).eval(w).mean(), rel=1e-14)
 
     def test_two_group_table(self):
@@ -591,18 +575,8 @@ class TestGroupMetrics:
         model = ModelSpec(kind="linear", loss="squared")
         assignment = np.array([0] * 6 + [1] * 4)
         w = rng.normal(0, 1, 2)
-        metrics = group_metrics(ds, model, GroupStructure(assignment), w)
+        metrics = grouped_loss_map(ds, model, GroupStructure(assignment)).eval(w)
         losses = pointwise_loss_map(ds, model).eval(w)
         assert metrics.shape == (2,)
         assert metrics[0] == pytest.approx(losses[:6].mean(), rel=1e-14)
         assert metrics[1] == pytest.approx(losses[6:].mean(), rel=1e-14)
-
-    def test_non_uniform_alpha_gives_the_same_means(self):
-        rng = np.random.default_rng(47)
-        ds = Dataset(rng.normal(0, 1, (10, 2)), rng.normal(0, 1, 10))
-        model = ModelSpec(kind="linear", loss="squared")
-        assignment = np.array([0] * 6 + [1] * 4)
-        w = rng.normal(0, 1, 2)
-        weighted = group_metrics(ds, model, GroupStructure(assignment, alpha=[0.7, 0.3]), w)
-        uniform = group_metrics(ds, model, GroupStructure(assignment), w)
-        np.testing.assert_array_equal(weighted, uniform)

@@ -161,6 +161,31 @@ class TestScalarConjugate:
             assert np.all(np.diff(g) >= -1e-15)
             assert g.min() >= 0.0 and g.max() <= tail_cap(n, p) + 1e-15
 
+    @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
+    def test_scalars_rows_and_grids_agree(self, kind):
+        # the passes write the capped entries in place, so a scalar goes through
+        # as one entry; every shape must give the same bits entry by entry
+        n, p, nu = 6, 0.75, 0.4
+        record = smoothing_module._KINDS[kind](nu, n, p)
+        points = np.array([record.s_floor - 1.0, record.s_floor, 0.5 * record.s_floor,
+                           0.5 * record.s_cap, record.s_cap, record.s_cap + 2.0])
+        spec = SmoothingSpec(kind, nu)
+        for fn in (scalar_conjugate, scalar_conjugate_grad):
+            row = fn(points, spec, n, p)
+            grid = fn(points.reshape(2, 3), spec, n, p)
+            assert row.shape == (6,) and grid.shape == (2, 3)
+            assert grid.tobytes() == row.tobytes()
+            for s, expected in zip(points, row):
+                for scalar in (float(s), np.float64(s), np.array(s)):
+                    value = fn(scalar, spec, n, p)
+                    assert isinstance(value, float)
+                    assert value == expected
+        weights = scalar_conjugate_grad(points, spec, n, p)
+        assert weights[-2] == weights[-1] == record.cap
+        assert 0.0 < weights[-3] < record.cap
+        if kind == "euclidean":
+            assert weights[0] == weights[1] == 0.0
+
 
 class TestDualSolver:
     def test_euclidean_projection_examples(self):
