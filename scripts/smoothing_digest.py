@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the smoothing numerics of this source tree with another one, part by part.
+"""Compare the exact and smoothing numerics of this source tree with another one, part by part.
 
 A change to ``sqopt`` that should keep every number is checked against the
 source of its parent (a second checkout, made with ``git clone`` or
@@ -18,7 +18,9 @@ entries (infinite where the shapes or the non-finite entries differ), where
 the unit is its natural scale in the case: the largest ``|u|`` (at least nu)
 for thresholds and values, the cap ``1/(n(1-p))`` for weights, their
 product for conjugate values, ``1/(1-p)`` for the dual derivative, and the
-cap (euclidean) or 1 (kl) for divergences.
+cap (euclidean) or 1 (kl) for divergences.  The exact outputs have the same
+units, without the floor at nu: the largest ``|u|`` for values and the
+quantile, the cap for weights.
 
 Each case is a seeded sample from the edge families of the solver tests
 (continuous, ties, a 1e8 offset, a 1e12 scale, constant) with n up to 3000,
@@ -31,6 +33,9 @@ it returns), ``scalar_conjugate`` and ``scalar_conjugate_grad`` on arrays
 and scalars, ``divergence``, ``divergence_max``, the dual function
 ``eta + sum scalar_conjugate(u - eta)`` and its derivative
 ``1 - sum scalar_conjugate_grad(u - eta)``, and ``smoothed_positive_part``.
+Once per case, whatever the divergence, the exact side of ``sqopt.core`` adds
+``quantile``, ``superquantile_integral``, ``superquantile_dual`` (value and
+weights) and ``superquantile_variational`` (value and eta).
 
 Usage:  python scripts/smoothing_digest.py --against SRC [samples]   (default 2000)
 """
@@ -59,6 +64,18 @@ def instances(rng, count):
         u = {"continuous": z, "ties": np.round(z), "offset": 1e8 + z,
              "huge": z * scale, "constant": np.full(n, 3.0)}[family]
         yield u, p, scale * float(10 ** rng.uniform(-6, 6))
+
+
+def exact_outputs(core, u, p):
+    """Yield ``(name, parts)`` of the tree whose ``sqopt.core`` is ``core``; a part is ``(numbers, unit)``."""
+    cap = 1.0 / (u.size * (1.0 - p))
+    loss = float(np.abs(u).max())
+    yield "quantile", ((core.quantile(u, p), loss),)
+    yield "superquantile_integral", ((core.superquantile_integral(u, p), loss),)
+    value, weights = core.superquantile_dual(u, p)
+    yield "superquantile_dual", ((value, loss), (weights, cap))
+    value, eta = core.superquantile_variational(u, p)
+    yield "superquantile_variational", ((value, loss), (eta, loss))
 
 
 def outputs(sm, u, spec, p, draw):
@@ -113,23 +130,28 @@ def main(against: str, samples: int) -> int:
     trees = (sqopt, load_tree(against))
     rng = np.random.default_rng(11)
     perturb = np.random.default_rng(12)
-    table = {}  # "kind output" -> [non-identical parts, parts, largest deviation, its case]
+    table = {}  # "side output" -> [non-identical parts, parts, largest deviation, its case]
+
+    def compare(side, case, this, other):
+        for (name, parts), (_, other_parts) in zip(this, other, strict=True):
+            row = table.setdefault(f"{side} {name}", [0, 0, 0.0, None])
+            for (a, unit), (b, _) in zip(parts, other_parts, strict=True):
+                a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+                row[0] += a.shape != b.shape or a.tobytes() != b.tobytes()
+                row[1] += 1
+                d = deviation(a, b, unit)
+                if d > row[2]:
+                    row[2], row[3] = d, case
+
     for case, (u, p, nu) in enumerate(instances(rng, samples)):
+        compare("exact", case, *(exact_outputs(tree.core, u, p) for tree in trees))
         for kind in ("euclidean", "kl"):
             draw = float(perturb.normal())
-            this, other = (outputs(tree.smoothing, u, tree.SmoothingSpec(kind, nu), p, draw) for tree in trees)
-            for (name, parts), (_, other_parts) in zip(this, other, strict=True):
-                row = table.setdefault(f"{kind} {name}", [0, 0, 0.0, None])
-                for (a, unit), (b, _) in zip(parts, other_parts, strict=True):
-                    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-                    row[0] += a.shape != b.shape or a.tobytes() != b.tobytes()
-                    row[1] += 1
-                    d = deviation(a, b, unit)
-                    if d > row[2]:
-                        row[2], row[3] = d, case
-    print(f"{'output':28s} {'differ':>7s} {'parts':>7s}  largest relative deviation")
+            compare(kind, case, *(outputs(tree.smoothing, u, tree.SmoothingSpec(kind, nu), p, draw)
+                                  for tree in trees))
+    print(f"{'output':32s} {'differ':>7s} {'parts':>7s}  largest relative deviation")
     for key, (differ, parts, worst, case) in sorted(table.items(), key=lambda item: (-item[1][2], item[0])):
-        print(f"{key:28s} {differ:7d} {parts:7d}  {worst:.3e}" + (f"  (case {case})" if case is not None else ""))
+        print(f"{key:32s} {differ:7d} {parts:7d}  {worst:.3e}" + (f"  (case {case})" if case is not None else ""))
     differ, parts = sum(row[0] for row in table.values()), sum(row[1] for row in table.values())
     print(f"{differ} of {parts} parts not bit-identical; "
           f"largest relative deviation {max(row[2] for row in table.values()):.3e}")

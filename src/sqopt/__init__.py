@@ -5,14 +5,12 @@ limited-memory quasi-Newton solver, data utilities and an experiment CLI.
 """
 
 from .core import (
-    TailSplit,
     quantile,
     superquantile,
     superquantile_dual,
     superquantile_integral,
     superquantile_variational,
     tail_cap,
-    tail_split,
 )
 from .data import (
     SyntheticSpec,

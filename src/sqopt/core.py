@@ -1,8 +1,9 @@
 """Exact quantiles and superquantiles of discrete equiprobable samples.
 
-A sample is a vector ``u`` of ``n`` equally likely loss values.  The
-p-superquantile (conditional value-at-risk at level ``p``) is the average of
-the quantiles above level ``p``.  Three equivalent computations are provided:
+A sample is a vector ``u`` of ``n`` equally likely loss values.  The module
+is its p-quantile (:func:`quantile`) and three equivalent routes to its
+p-superquantile (conditional value-at-risk at level ``p``), the average of the
+quantiles above level ``p``:
 
 * ``superquantile_integral`` -- integrate the empirical quantile function over
   the tail ``[p, 1]`` (the fast path, uses an O(n) order statistic),
@@ -12,24 +13,25 @@ the quantiles above level ``p``.  Three equivalent computations are provided:
   ``eta + sum(max(u - eta, 0)) / (n (1 - p))`` at ``eta`` equal to the
   p-quantile.
 
+The split of a sample at its p-quantile (the values above it and the CDF gap
+that weights the tied ones) is private: ``superquantile_integral`` and the
+exact oracle ``sqopt.oracles.subdifferential`` share it.
+
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NonFiniteSample",
-    "TailSplit",
     "as_sample",
     "check_tail",
     "tail_cap",
     "quantile",
-    "tail_split",
     "superquantile",
     "superquantile_integral",
     "superquantile_dual",
@@ -105,44 +107,25 @@ def _quantile(u: np.ndarray, p: float) -> float:
     return float(np.partition(u, k - 1)[k - 1])
 
 
-@dataclass(frozen=True)
-class TailSplit:
-    """Partition of a sample around its p-quantile.
+def _tail(u: np.ndarray, p: float) -> tuple[float, np.ndarray, float]:
+    """Split a checked sample at its p-quantile ``q``; ties are compared exactly, bit-wise.
 
-    ``above``/``equal`` index the values strictly above / tied with the
-    quantile.  ``cdf_gap`` is the probability mass between ``p`` and the CDF
-    evaluated at the quantile; it weights the tied values in the tail average
-    and is zero whenever ``p`` falls exactly on a CDF step.
+    Returns ``q``, the mask of the values strictly above it, and the CDF gap:
+    the probability mass between ``p`` and the empirical CDF at ``q``.  The
+    gap weights the values tied with ``q`` in the tail average and is zero
+    whenever ``p`` falls exactly on a CDF step.
     """
-
-    quantile: float
-    above: np.ndarray
-    equal: np.ndarray
-    cdf_gap: float
-
-
-def tail_split(values, p: float) -> TailSplit:
-    """Split a sample at its p-quantile (ties compared exactly, bit-wise)."""
-    u = as_sample(values)
-    p = check_tail(p)
-    n = u.size
     q = _quantile(u, p)
-    above = np.flatnonzero(u > q)
-    equal = np.flatnonzero(u == q)
-    gap = (n - above.size) / n - p
-    return TailSplit(quantile=q, above=above, equal=equal, cdf_gap=gap)
+    above = u > q
+    return q, above, (u.size - int(np.count_nonzero(above))) / u.size - p
 
 
 def superquantile_integral(values, p: float) -> float:
     """Integral-form superquantile: average of the quantiles above level p."""
     u = as_sample(values)
     p = check_tail(p)
-    n = u.size
-    # tail_split's quantile, mask and gap, without a second check or the tied indices
-    q = _quantile(u, p)
-    above = u > q
-    tail_sum = float(u[above].sum()) / (n * (1.0 - p))
-    gap = (n - int(np.count_nonzero(above))) / n - p
+    q, above, gap = _tail(u, p)
+    tail_sum = float(u[above].sum()) / (u.size * (1.0 - p))
     return float(tail_sum + gap / (1.0 - p) * q)
 
 

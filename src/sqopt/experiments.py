@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_sample, superquantile
-from .data import X_HIGH, X_LOW, SyntheticSpec, _quadratic, downsample_majority, generate_quadratic, split_indices
+from .data import (N_CONFORMING_DEVICES, X_HIGH, X_LOW, SyntheticSpec, _quadratic, downsample_majority,
+                   generate_quadratic, split_indices)
 from .models import Dataset, GroupStructure, ModelSpec, pointwise_loss_map, grouped_loss_map, predict
 from .optim import CONVERGED, minimize
 from .oracles import erm_objective, smoothed_objective
@@ -215,7 +216,8 @@ def run_federated(seed: int = 0) -> tuple[dict, list[dict]]:
         "grouped_superquantile": minimize(smoothed_objective(device_map, p_grouped, STUDY_SMOOTHING), w0),
     }
 
-    subgroup_map = grouped_loss_map(dataset, model, GroupStructure(np.where(groups.assignment == 4, 1, 0)))
+    alternate = np.where(groups.assignment == N_CONFORMING_DEVICES, 1, 0)
+    subgroup_map = grouped_loss_map(dataset, model, GroupStructure(alternate))
     report = {
         "experiment": "federated",
         "seed": seed,

@@ -88,12 +88,10 @@ def _strong_wolfe(oracle, w, d, f0, g0):
     a = INITIAL_STEP
     for i in range(MAX_LINE_SEARCH):
         f, g = oracle(w + a * d)
-        if not _finite(f, g):
-            # treat as an overshoot: search between the last good step and here
+        # a non-finite trial is an overshoot too: search between the last good step and here
+        if not _finite(f, g) or f > f0 + C1 * a * dphi0 or (i > 0 and f >= f_prev):
             return _zoom(oracle, w, d, f0, dphi0, a_prev, f_prev, a)
         dphi = float(g @ d)
-        if f > f0 + C1 * a * dphi0 or (i > 0 and f >= f_prev):
-            return _zoom(oracle, w, d, f0, dphi0, a_prev, f_prev, a)
         if abs(dphi) <= -C2 * dphi0:
             return a, f, g
         if dphi >= 0.0:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NonFiniteSample, as_sample, check_tail, tail_split
+from .core import NonFiniteSample, _tail, as_sample, check_tail, tail_cap
 from .smoothing import SmoothingSpec, solve_dual_1d
 
 __all__ = [
@@ -103,9 +103,7 @@ def _objective(loss_map: LossMap, reg: float,
     non-finite losses give the value ``inf`` and a NaN gradient, without an
     ``adjoint_apply``, and an empty or multi-dimensional loss vector raises.
     """
-    if not reg >= 0.0:
-        raise ValueError(f"reg must be nonnegative, got {reg}")
-    if reg == math.inf:
+    if not 0.0 <= reg < math.inf:
         raise ValueError(f"reg must be nonnegative and finite, got {reg}")
     n = loss_map.n
 
@@ -127,7 +125,8 @@ def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescriptio
 
     Only the gradients of the losses at or above the p-quantile enter; they
     are extracted through ``adjoint_apply`` with indicator weights, never via
-    a full Jacobian.
+    a full Jacobian.  The losses and ``p`` are checked once, and the split at
+    the quantile is the one ``superquantile_integral`` uses.
     """
     w = np.asarray(w, dtype=float)
     p = check_tail(p)
@@ -136,19 +135,16 @@ def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescriptio
     except NonFiniteSample:
         raise ValueError("loss map returned non-finite values") from None
     n = u.size
-    split = tail_split(u, p)
-
-    q_above = np.zeros(n)
-    q_above[split.above] = 1.0 / (n * (1.0 - p))
-    fixed = np.asarray(loss_map.adjoint_apply(w, q_above), dtype=float)
+    q, above, gap = _tail(u, p)
+    fixed = np.asarray(loss_map.adjoint_apply(w, above * tail_cap(n, p)), dtype=float)
 
     extremes = []
-    for i in split.equal:
+    for i in np.flatnonzero(u == q):
         basis = np.zeros(n)
         basis[i] = 1.0
         extremes.append(np.asarray(loss_map.adjoint_apply(w, basis), dtype=float))
 
-    hull_weight = split.cdf_gap / (1.0 - p)
+    hull_weight = gap / (1.0 - p)
     mean_extreme = sum(extremes) / len(extremes)
     selected = fixed + hull_weight * mean_extreme
     return SubdifferentialDescription(fixed_part=fixed, extreme_gradients=extremes,

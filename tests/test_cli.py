@@ -471,6 +471,9 @@ class TestDefaultsComeFromTheLibrary:
                                                              settings.train_fraction)
         for loss in LOSSES:
             assert build_parser().parse_args(["fit", "--data", "d.csv", "--loss", loss, "--out", "o"]).loss == loss
+        # the default model, spelled out
+        linear = build_parser().parse_args(["fit", "--data", "d.csv", "--model", "linear", "--out", "o"])
+        assert linear.model == args.model
 
     def test_sweep_nu(self, capsys):
         args = build_parser().parse_args(["sweep-nu", "--values", "1,2", "--p", "0.5", "--out", "o"])

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from sqopt import (
+    LossMap,
     quantile,
+    subdifferential,
     superquantile_dual,
     superquantile_integral,
     superquantile_variational,
     tail_cap,
-    tail_split,
 )
 
 from sqopt.core import NonFiniteSample, as_sample
@@ -55,6 +56,11 @@ class TestQuantile:
             u = rng.normal(0, 1, n)
             for p in np.arange(0.0, 1.0, 0.1):
                 assert quantile(u, float(p)) == sorted_quantile(u, float(p))
+        # n*p evaluates to 7.000000000000001, 15.000000000000002 and 29.000000000000004:
+        # ceil(n*p) is one past the order statistic and is stepped back down
+        for n, k in ((25, 7), (29, 15), (35, 29)):
+            u = rng.normal(0, 1, n)
+            assert quantile(u, k / n) == sorted_quantile(u, k / n) == np.sort(u)[k - 1]
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty sample"):
@@ -86,38 +92,59 @@ class TestAsSample:
         assert as_sample(2.5).tolist() == [2.5]
 
 
-class TestTailSplit:
+def split_at_quantile(u, p):
+    """The split at the p-quantile, read off the exact subdifferential of the identity map.
+
+    Returns the indices above the quantile (where the fixed part holds the cap),
+    the indices tied with it (one basis vector each among the extremes), the
+    hull weight gap/(1-p), and the fixed part itself.
+    """
+    u = np.asarray(u, dtype=float)
+    desc = subdifferential(LossMap(dim=u.size, n=u.size, eval=lambda w: u,
+                                   adjoint_apply=lambda w, q: q), np.zeros(u.size), p)
+    above = np.flatnonzero(desc.fixed_part)
+    assert (desc.fixed_part[above] == tail_cap(u.size, p)).all()
+    tied = [int(np.flatnonzero(e)[0]) for e in desc.extreme_gradients]
+    return above, tied, desc.hull_weight, desc.fixed_part
+
+
+class TestTail:
     def test_worked_example(self):
-        split = tail_split([1, 2, 3, 4], 0.6)
-        assert split.quantile == 3.0
-        assert list(split.above) == [3]
-        assert list(split.equal) == [2]
-        assert split.cdf_gap == pytest.approx(0.15, abs=1e-15)
+        above, tied, hull_weight, _ = split_at_quantile([1, 2, 3, 4], 0.6)
+        assert list(above) == [3]
+        assert tied == [2]
+        assert hull_weight == pytest.approx(0.15 / 0.4, abs=1e-15)
+        assert superquantile_integral([1, 2, 3, 4], 0.6) == pytest.approx(3.625, rel=1e-15)
 
     def test_exact_step_gives_zero_gap(self):
-        split = tail_split([1, 2, 3], 1.0 / 3.0)
-        assert split.quantile == 1.0
-        assert set(split.above) == {1, 2}
-        assert split.cdf_gap == 0.0
+        above, tied, hull_weight, _ = split_at_quantile([1, 2, 3], 1.0 / 3.0)
+        assert set(above) == {1, 2}
+        assert tied == [0]
+        assert hull_weight == 0.0
+        assert superquantile_integral([1, 2, 3], 1.0 / 3.0) == pytest.approx(2.5, rel=1e-15)
 
     def test_all_tied(self):
-        split = tail_split([4.0, 4.0], 0.5)
-        assert split.quantile == 4.0
-        assert split.above.size == 0
-        assert split.equal.size == 2
-        assert split.cdf_gap == 0.5
+        above, tied, hull_weight, _ = split_at_quantile([4.0, 4.0], 0.5)
+        assert above.size == 0
+        assert tied == [0, 1]
+        assert hull_weight == 1.0
+        assert superquantile_integral([4.0, 4.0], 0.5) == 4.0
 
     def test_gap_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             u = random_sample(rng)
             p = float(rng.uniform(0.0, 0.999))
-            split = tail_split(u, p)
+            above, tied, hull_weight, fixed = split_at_quantile(u, p)
             n = u.size
-            assert split.cdf_gap >= 0.0
-            below = n - split.above.size - split.equal.size
+            q = quantile(u, p)
+            assert (u[above] > q).all() and (u[tied] == q).all()
+            assert hull_weight >= 0.0
+            below = n - above.size - len(tied)
             strict = below / n - p
             assert strict < 0.0 or (p == 0.0 and strict == 0.0)
+            assert superquantile_integral(u, p) == pytest.approx(
+                float(fixed @ u) + hull_weight * q, rel=1e-12, abs=1e-12)
 
 
 class TestSuperquantileRepresentations:

@@ -58,6 +58,8 @@ class TestSyntheticGenerator:
             SyntheticSpec(n=0, w_bar=(0, 0, 0))
         with pytest.raises(ValueError, match="fraction"):
             SyntheticSpec(n=5, w_bar=(0, 0, 0), mixture=(1.5, (0, 0, 0)))
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            SyntheticSpec(n=5, w_bar=(0, 0, 0), sigma=-0.1)
 
 
 class TestSplits:
@@ -78,6 +80,11 @@ class TestSplits:
     def test_fraction_outside_open_interval_rejected(self, fraction):
         with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)"):
             split_indices(10, fraction, 0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, n):
+        with pytest.raises(ValueError, match="need at least two rows to split"):
+            split_indices(n, 0.5, 0)
 
 
 def write(tmp_path, name, text):
@@ -151,6 +158,14 @@ class TestLoadCsv:
         path = write(tmp_path, "g.csv", "x,y\n1,2\n")
         with pytest.raises(ValueError, match="unknown task"):
             load_csv(path, task="ranking")
+
+    @pytest.mark.parametrize("text,message", [
+        ("x,y\n", "need a header row and at least one data row"),
+        ("y\n1\n2\n", "need at least one feature column and a label column"),
+    ])
+    def test_header_only_or_label_only_rejected(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_csv(write(tmp_path, "h.csv", text))
 
     def test_missing_file(self):
         with pytest.raises(OSError):

@@ -449,6 +449,10 @@ class TestGroupStructure:
         # are allocated, and before a cast to int that would overflow
         with pytest.raises(ValueError, match="non-empty"):
             GroupStructure([0, 1e20])
+        with pytest.raises(ValueError, match="empty group assignment"):
+            GroupStructure(np.array([], dtype=int))
+        with pytest.raises(ValueError, match="group indices must be nonnegative"):
+            GroupStructure([0, -1, 1])
 
     def test_group_weights_are_not_a_field(self):
         # a partition holds no weights; a group's loss is the plain average over its rows
