@@ -94,9 +94,8 @@ def quantile(values, p: float) -> float:
     return _quantile(as_sample(values), check_tail(p))
 
 
-def _quantile(u: np.ndarray, p: float) -> float:
-    """:func:`quantile` of a checked sample at a checked tail probability."""
-    n = u.size
+def _rank(n: int, p: float) -> int:
+    """The rank ``k = ceil(n p)``, at least 1, of the p-quantile among ``n`` values."""
     k = max(math.ceil(n * p), 1)
     # fix the off-by-one that floating-point rounding of n*p can introduce,
     # so that (k-1)/n < p <= k/n holds in float arithmetic
@@ -104,6 +103,20 @@ def _quantile(u: np.ndarray, p: float) -> float:
         k -= 1
     while k < n and k / n < p:
         k += 1
+    return k
+
+
+def _quantile(u: np.ndarray, p: float, omitted: int = 0) -> float:
+    """:func:`quantile` of a checked sample at a checked tail probability.
+
+    With ``omitted > 0``, ``u`` is what is left of a sample of ``u.size +
+    omitted`` values after dropping ``omitted`` values below its p-quantile,
+    which is then the ``(k - omitted)``-th order statistic of ``u``; a ``k``
+    that leaves no rank in ``u`` raises ``ValueError``.
+    """
+    k = _rank(u.size + omitted, p) - omitted
+    if k < 1:
+        raise ValueError(f"{omitted} omitted values reach the p-quantile, rank {k + omitted}")
     return float(np.partition(u, k - 1)[k - 1])
 
 

@@ -8,7 +8,9 @@ federated / fairness objectives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -166,6 +168,33 @@ def _loss_values(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
     return np.logaddexp(0.0, -y * z)
 
 
+def _scores(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
+    """Per-row scores that the loss increases with: ``|y - z|`` (squared) or ``-y z`` (logistic)."""
+    if loss == "squared":
+        out = np.subtract(y, z)
+        np.abs(out, out=out)
+        return out
+    return -y * z
+
+
+def _loss_bounds(loss: str):
+    """Three scalar functions of the loss as a function of the score.
+
+    The loss of a score, a lower bound on the loss of any score at least
+    ``t``, and the score of a loss value (``-inf`` below every loss).  The
+    squared loss is ``s^2 / 2`` on scores ``s >= 0``, the logistic loss
+    ``softplus(s)`` on all of them; both increase with ``s``.
+    """
+    if loss == "squared":
+        return (lambda s: 0.5 * s * s), (lambda t: 0.5 * max(t, 0.0) ** 2), \
+            (lambda v: math.sqrt(2.0 * v) if v >= 0.0 else -math.inf)
+
+    def softplus(s):
+        return max(s, 0.0) + math.log1p(math.exp(-abs(s)))
+
+    return softplus, softplus, (lambda v: v + math.log(-math.expm1(-v)) if v > 0.0 else -math.inf)
+
+
 def _loss_dz(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
     if loss == "squared":
         return z - y
@@ -185,6 +214,27 @@ _SUPPORT_MIN_ROWS = 2000
 # Gathered rows per block, as float64 elements: 1 MiB, so that the restricted
 # adjoint's peak memory does not grow with the support.
 _BLOCK_ELEMENTS = 2**17
+# The screen of pointwise_loss_map runs on samples of at least this many
+# rows: on the six fits of perfbench's tall workload (d = 20), drawn at
+# n = 2000 the screened fits took 0.90-0.94 of the time of full passes, at
+# n = 4000 0.78-0.85.
+_SCREEN_MIN_ROWS = 2000
+# Its copy holds the rows that can reach the tail at the reference plus this
+# share of all rows.  On the tall fits (n = 40000, seed 1) the median round
+# took 0.250 s at 0, where most calls made a full pass (29-57 per fit),
+# 0.178 s at 0.005, 0.170 s at 0.01 (7-11 full passes per fit) and 0.173 s
+# at 0.015; larger shares cut few full passes more (5-8 at 0.08) and made
+# every other call dearer.
+_SCREEN_MARGIN = 0.01
+# No reference whose copy would hold more than this share of the rows.  At
+# 40000 x 20 a logistic fit at p = 0.9 whose losses all lie near log 2 took
+# copies of 92% of the rows and still made a full pass on 22 of its 28
+# calls: 110-122 ms against 100-114 ms without the screen; a squared-loss
+# fit at p = 0.5 with copies of 51% took 35-39 ms against 39-41 ms.
+_SCREEN_MAX_SHARE = 0.5
+# A reference is first sized on every 16th row, so that a fit where it would
+# hold too many rows pays a partition of n/16 scores, not of n.
+_SCREEN_STRIDE = 16
 
 
 def _support_pays(count: int, n: int, d: int) -> bool:
@@ -217,6 +267,21 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     of 1 MiB and sums their products, instead of the dense ``phi.T @ r``.
     The two sum in a different order, so they agree to rounding, not bit for
     bit.
+
+    From 2000 rows the map has a ``screen`` (see :class:`LossMap`).  A row's
+    loss increases with its score, ``|y - z|`` for the squared loss and
+    ``-y z`` for the logistic, and a score moves by at most ``M |w - w_ref|``
+    from a reference point ``w_ref``, where ``M`` is the largest row norm.
+    At a full pass the screen keeps, in their original order, a contiguous
+    copy of the rows that can reach the tail there, plus 1% of the rows
+    more: about ``(1 - p + 0.01) n d`` floats, plus the rows within the gap
+    below the quantile, and no copy where that is more than half the rows.
+    Each later call with the same ``(k, gap)`` tests in O(d) that no other
+    row can reach the tail from ``w_ref`` and predicts only the copy; where
+    the test fails it makes a full pass and takes a new reference.  A
+    product over the copy sums each row as the full product does, but its
+    bits can differ in the last place with the row's position, so a screened
+    oracle agrees with one over ``eval`` and ``adjoint_apply`` to rounding.
     """
     phi = design_matrix(dataset, model)
     y = dataset.targets
@@ -226,6 +291,13 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     n, d = phi.shape
     block = max(1, _BLOCK_ELEMENTS // max(d, 1))
     latest = None  # (w.tobytes(), phi @ w), replaced as one tuple
+    # ((k, gap), w_ref, |w_ref|, k-th score s_k, largest omitted score tau,
+    # kept rows of phi, their targets), replaced as one tuple
+    reference = None
+    row_norm = None  # M, computed on the first screen
+    loss_of, loss_low, score_of = _loss_bounds(loss)
+    # bounds the rounding of a prediction phi_i @ w, relative to |phi_i| |w|
+    rounding = 4.0 * (d + 2) * np.finfo(float).eps
 
     def predictions(w) -> np.ndarray:
         nonlocal latest
@@ -256,7 +328,70 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
                 return grad
         return phi.T @ (q * _loss_dz(z, y, loss))
 
-    return LossMap(dim=d, n=n, eval=eval_losses, adjoint_apply=adjoint)
+    def kept_adjoint(x: np.ndarray, t: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # dense over the kept copy: 25-80% of its rows carry weight on tall,
+        # and in cache the gather pays only below about 10% (at 6100 x 20,
+        # 33.5 us dense against 30.8 us gathered at 10%, 24 us against 83 us
+        # at 5200 x 20 and 77%)
+        return x.T @ (q * _loss_dz(z, t, loss))
+
+    def holds(tau: float, s_k: float, reach: float, gap: float) -> bool:
+        # every row of score at most tau + reach has a loss at least gap below
+        # the k-th smallest, which is at least loss_low(s_k - reach); the
+        # relative margins cover the rounding of the losses; false for NaN
+        return loss_of(tau + reach) * (1.0 + 1e-12) <= loss_low(s_k - reach) * (1.0 - 1e-12) - gap
+
+    def omittable(scores: np.ndarray, k: int, gap: float) -> tuple[float, np.ndarray, int]:
+        """The k-th smallest score, the ``k - 1`` below it, and how many of those a copy leaves out.
+
+        Those are the rows that cannot reach the tail at this point, less
+        the margin, or none if the copy would hold too many rows.
+        """
+        part = np.partition(scores, k - 1)
+        s_k = float(part[k - 1])
+        below = part[:k - 1]
+        free = below.size - int(np.count_nonzero(below > score_of(loss_of(s_k) - gap)))
+        omitted = free - math.ceil(_SCREEN_MARGIN * scores.size)
+        return s_k, below, omitted if scores.size - omitted <= _SCREEN_MAX_SHARE * scores.size else 0
+
+    def screen(w: np.ndarray, k: int, gap: float):
+        nonlocal reference, row_norm
+        w = np.asarray(w, dtype=float)
+        if row_norm is None:
+            row_norm = math.sqrt(float(np.einsum("ij,ij->i", phi, phi).max()))
+        w_norm = math.sqrt(float(w @ w))
+        cached = reference  # read once
+        if cached is not None and cached[0] == (k, gap):
+            _, w_ref, ref_norm, s_k, tau, x, t = cached
+            step = w - w_ref
+            reach = row_norm * (math.sqrt(float(step @ step)) + rounding * (w_norm + ref_norm))
+            if holds(tau, s_k, reach * (1.0 + 1e-9), gap):
+                z = x @ w
+                return _loss_values(z, t, loss), partial(kept_adjoint, x, t, z)
+        z = predictions(w)
+        # the rows from the k-th up alone fill more than the copy may hold
+        if n - k + 1 + math.ceil(_SCREEN_MARGIN * n) > _SCREEN_MAX_SHARE * n:
+            return _loss_values(z, y, loss), partial(adjoint, w)
+        scores = _scores(z, y, loss)
+        # no reference from overflowed losses; and a sample of every 16th row
+        # first, at a sixteenth of the cost, where the copy would hold too many
+        # rows (losses that all lie near the quantile, or KL at a large nu)
+        sample = scores[::_SCREEN_STRIDE]
+        if math.isfinite(loss_of(float(scores.max()))) and \
+                omittable(sample, math.ceil(k * sample.size / n), gap)[2] > 0:
+            s_k, below, omitted = omittable(scores, k, gap)
+            if omitted > 0:
+                tau = float(np.partition(below, omitted - 1)[omitted - 1])
+                if holds(tau, s_k, row_norm * rounding * 2.0 * w_norm, gap):
+                    rows = np.flatnonzero(scores > tau)
+                    # take copies the rows in 0.6 of the time of phi[rows]
+                    x, t, z = phi.take(rows, axis=0), y[rows], z[rows]
+                    reference = ((k, gap), w.copy(), w_norm, s_k, tau, x, t)
+                    return _loss_values(z, t, loss), partial(kept_adjoint, x, t, z)
+        return _loss_values(z, y, loss), partial(adjoint, w)
+
+    return LossMap(dim=d, n=n, eval=eval_losses, adjoint_apply=adjoint,
+                   screen=screen if n >= _SCREEN_MIN_ROWS else None)
 
 
 def grouped_loss_map(dataset: Dataset, model: ModelSpec, groups: GroupStructure) -> LossMap:

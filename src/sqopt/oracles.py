@@ -12,6 +12,9 @@ The smoothed oracle calls ``solve_dual_1d`` once per call, through the name
 bound here, and hands each solution's ``start`` to the next solve.  Its
 ``as_sample`` is the call's one finiteness check: a ``NonFiniteSample``
 becomes the value ``inf`` and a NaN gradient, a failed step for ``minimize``.
+On a loss map with a ``screen`` the smoothed oracle asks it for the losses of
+only the rows that can reach the tail, and solves on those with the whole
+sample's ``n``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NonFiniteSample, _tail, as_sample, check_tail, tail_cap
-from .smoothing import SmoothingSpec, solve_dual_1d
+from .core import NonFiniteSample, _rank, _tail, as_sample, check_tail, tail_cap
+from .smoothing import SmoothingSpec, _floor_gap, solve_dual_1d
 
 __all__ = [
     "LossMap",
@@ -53,6 +56,14 @@ class LossMap:
     point of the preceding ``eval``), and its adjoint may skip the components
     whose weight is zero, since the smoothed weights are zero on most of a
     large sample.  No Jacobian is ever materialized.
+
+    ``screen``, optional, serves the smoothed oracle on large samples.
+    ``screen(w, k, gap)`` returns the losses of some ``m <= n`` of the
+    components, in their original order, and the adjoint over those: a
+    function of their ``m`` weights.  It promises that every component it
+    leaves out has a loss at least ``gap`` below the ``k``-th smallest of
+    all ``n``, so that its smoothed weight is at its floor.  The losses and
+    the adjoint may differ from ``eval`` and ``adjoint_apply`` by rounding.
     The oracle closures built on a loss map need not be pure: see
     :func:`smoothed_objective`.
     """
@@ -61,6 +72,8 @@ class LossMap:
     n: int
     eval: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    screen: Callable[[np.ndarray, int, float],
+                     tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]] | None = None
 
 
 @dataclass(frozen=True)
@@ -93,15 +106,18 @@ def _losses(loss_map: LossMap, w: np.ndarray):
 
 
 def _objective(loss_map: LossMap, reg: float,
-               value_weights: Callable[[np.ndarray], tuple[float, np.ndarray]]
+               value_weights: Callable[[np.ndarray], tuple[float, np.ndarray]],
+               losses: Callable[[np.ndarray], tuple] | None = None
                ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` of a risk of the losses plus ``reg/(2n) ||w||^2``.
 
     ``value_weights`` checks the loss vector with ``as_sample`` and maps it
     to the risk and to the weights whose adjoint image is the risk's
-    gradient.  Exactly one ``eval`` and one ``adjoint_apply`` per call;
-    non-finite losses give the value ``inf`` and a NaN gradient, without an
-    ``adjoint_apply``, and an empty or multi-dimensional loss vector raises.
+    gradient.  ``losses(w)`` gives that loss vector and the adjoint that
+    takes its weights; without it, exactly one ``eval`` and one
+    ``adjoint_apply`` per call.  Non-finite losses give the value ``inf``
+    and a NaN gradient, without an adjoint, and an empty or
+    multi-dimensional loss vector raises.
     """
     if not 0.0 <= reg < math.inf:
         raise ValueError(f"reg must be nonnegative and finite, got {reg}")
@@ -110,11 +126,15 @@ def _objective(loss_map: LossMap, reg: float,
     def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(w, dtype=float)
         try:
-            value, weights = value_weights(_losses(loss_map, w))
+            # a trial step can overflow the losses; as_sample reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, adjoint = (loss_map.eval(w), None) if losses is None else losses(w)
+            value, weights = value_weights(u)
         except NonFiniteSample:
             # read by ``minimize`` as a failed trial step, not raised
             return math.inf, np.full(w.shape, np.nan)
-        grad = np.asarray(loss_map.adjoint_apply(w, weights), dtype=float)
+        grad = loss_map.adjoint_apply(w, weights) if adjoint is None else adjoint(weights)
+        grad = np.asarray(grad, dtype=float)
         return value + 0.5 * reg / n * float(w @ w), grad + (reg / n) * w
 
     return oracle
@@ -155,10 +175,11 @@ def smoothed_value_grad(loss_map: LossMap, w, p: float,
                         spec: SmoothingSpec) -> tuple[float, np.ndarray]:
     """Value and gradient of the smoothed tail-risk objective.
 
-    Exactly one ``eval`` and one ``adjoint_apply`` per call: the smoothed
-    weights come from the scalar dual solve on the loss values, and the
-    gradient is their adjoint image.  Non-finite losses give the value
-    ``inf`` and a NaN gradient, without an ``adjoint_apply``.
+    The smoothed weights come from the scalar dual solve on the loss values,
+    and the gradient is their adjoint image.  Exactly one ``eval`` and one
+    ``adjoint_apply`` per call, unless the loss map has a ``screen``: then
+    one ``screen`` call and its adjoint replace them.  Non-finite losses give
+    the value ``inf`` and a NaN gradient, without an adjoint.
     """
     return smoothed_objective(loss_map, p, spec)(w)
 
@@ -169,27 +190,46 @@ def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
 
     ``p`` is checked here, when the closure is built, as ``reg`` is.  Each
     call makes one ``solve_dual_1d``, whose ``as_sample`` checks the losses.
+    On a loss map with a ``screen``, the losses come from one ``screen(w, k,
+    gap)`` call, with ``k`` the rank of the p-quantile among the map's ``n``
+    components and ``gap`` the one below which the solve drops a row, and
+    the solve and the adjoint run on the rows it returns; otherwise one
+    ``eval`` and one ``adjoint_apply``.
     The closure carries state: it keeps the last solution's ``start`` and
     starts the next solve's Newton iteration there, which saves a quarter
     to a half of the passes over the losses along a solver's path.  A
-    closure fed the same sequence of points replays the same values bit for
-    bit, and each call agrees with a cold solve (:func:`smoothed_value_grad`)
-    to rounding.  Use one closure per fit and per thread.
+    closure fed the same sequence of points, on a loss map in the same
+    state (a screen keeps its reference across closures), replays the same
+    values bit for bit, and each call agrees with a cold solve
+    (:func:`smoothed_value_grad`) to rounding.  Use one closure per fit and
+    per thread.
     """
     p = check_tail(p)
     start = None
+    screen = loss_map.screen
+    if screen is not None:
+        n = loss_map.n
+        rank, gap = _rank(n, p), _floor_gap(spec, n, p)
 
     def value_weights(u) -> tuple[float, np.ndarray]:
         nonlocal start
-        sol = solve_dual_1d(u, spec, p, start=start)
+        if screen is None:
+            sol = solve_dual_1d(u, spec, p, start=start)
+        else:
+            sol = solve_dual_1d(u, spec, p, start=start, n=n)
         start = sol.start
         return sol.value, sol.weights
 
-    return _objective(loss_map, reg, value_weights)
+    losses = None if screen is None else (lambda w: screen(w, rank, gap))
+    return _objective(loss_map, reg, value_weights, losses)
 
 
 def erm_objective(loss_map: LossMap, reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Closure ``w -> (value, grad)`` for the ridge-regularized mean loss."""
+    """Closure ``w -> (value, grad)`` for the ridge-regularized mean loss.
+
+    Exactly one ``eval`` and one ``adjoint_apply`` per call; the mean reads
+    every loss, so a loss map's ``screen`` is not used.
+    """
 
     def value_weights(u) -> tuple[float, np.ndarray]:
         u = as_sample(u)

@@ -31,7 +31,11 @@ p-quantile, brackets the root in closed form without sorting, and takes the
 slope and the curvature from one O(n) pass per step, bisecting the bracket
 when a step leaves it or stalls.  Before the first pass it drops the rows
 whose weight stays at its floor over the whole bracket (the candidate filter
-of Michelot's and Condat's simplex projections).  The smoothed value comes
+of Michelot's and Condat's simplex projections).  A caller that can bound
+the losses may leave such rows out of the sample in the first place and
+pass the whole sample's size as ``n``: pre-screened rows and filtered rows
+are one mechanism, the same gap below the p-quantile, counted the same way
+in the cap, the quantile's rank and the value.  The smoothed value comes
 from the weights and sums of the last pass.  :func:`bisect_dual` is the
 independent bisection-only reference.
 
@@ -82,8 +86,8 @@ __all__ = [
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 _NEWTON_MAX_ITER = 100
-# the filter of solve_dual_1d cuts this factor below lo + s_floor (both are
-# negative), so that a row within rounding of the floor stays a candidate
+# the filter of solve_dual_1d cuts this factor below lo + s_floor = -(s_cap -
+# s_floor), so that a row within rounding of the floor stays a candidate
 _FLOOR_SLACK = 1.0 + 8.0 * np.finfo(float).eps
 # below this sample size the filter's mask, gather and scatter cost more than
 # the passes it shortens (3.5-6 us more on a 22-35 us warm euclidean solve
@@ -155,6 +159,15 @@ class _Divergence:
             raise ValueError(f"sample size n must be an integer >= 1, got {n!r}")
         self.nu, self.n, self.p = nu, n, check_tail(p)
         self.cap = tail_cap(n, self.p)
+
+    @property
+    def floor_gap(self) -> float:
+        """How far below the p-quantile a value sits at its floor weight for every ``eta`` in the bracket.
+
+        That is ``s_cap - s_floor``, widened by ``_FLOOR_SLACK`` so that a
+        value within rounding of the floor is not counted.
+        """
+        return (self.s_cap - self.s_floor) * _FLOOR_SLACK
 
 
 class _Euclidean(_Divergence):
@@ -290,7 +303,18 @@ def _solution_at(shift: float, eta: float, s: np.ndarray, weights: np.ndarray, c
     return weights, value
 
 
-def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = None) -> DualSolution:
+def _floor_gap(spec: SmoothingSpec, n: int, p: float) -> float:
+    """The gap below the p-quantile of an ``n``-value sample from which a value's weight is at its floor.
+
+    :func:`solve_dual_1d` drops the values at least this far below the
+    quantile before its first pass, and a caller may leave them out of
+    ``values`` in the first place (its ``n`` argument).
+    """
+    return _KINDS[spec.kind](spec.nu, n, p).floor_gap
+
+
+def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = None,
+                  n: int | None = None) -> DualSolution:
     """Minimize the scalar dual of the smoothed superquantile, from an optional start.
 
     The dual derivative ``1 - sum(weights)`` is non-decreasing in the shift
@@ -322,21 +346,36 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
     are each below ``exp(-41)/n``, so together they hold less than
     ``exp(-41)`` (1.6e-18), below the rounding of the weights' sum, and
     their value, less than ``nu`` times that, is left out.
+
+    ``n``, when given, is the size of a sample of which ``values`` holds
+    ``m <= n`` values: the caller promises that each of the ``n - m`` others
+    lies at least ``_floor_gap(spec, n, p)`` below the p-quantile, where the
+    filter would drop it.  The solve is then the one on the whole sample,
+    with its cap, value and dropped count, and the quantile is the ``(k - (n
+    - m))``-th order statistic of ``values``; the weights, 0 on the omitted
+    values, are returned for the ``m`` given ones.  A non-integer ``n``, an
+    ``n < m``, or so many omitted values that they would reach the quantile
+    raises ``ValueError``.
     """
     u = as_sample(values)
-    kind = _KINDS[spec.kind](spec.nu, u.size, p)
-    shift = _quantile(u, kind.p)
+    m = u.size
+    if n is None:
+        n = m
+    elif not _is_integer(n) or n < m:
+        raise ValueError(f"sample size n must be an integer >= {m}, the values given, got {n!r}")
+    kind = _KINDS[spec.kind](spec.nu, n, p)
+    shift = _quantile(u, kind.p, n - m)
     v = u - shift
     # at lo the p-quantile and every larger value, more than n(1-p) of them,
     # sit at the cap; at hi every weight is at most 1/n
     lo, hi = -kind.s_cap, float(v.max()) - kind.s_uniform
-    dropped = 0
-    if u.size >= _FILTER_MIN_SIZE:
+    dropped = n - m
+    if n >= _FILTER_MIN_SIZE:
         # indices from the mask: gathering and scattering through them is
         # several times faster than indexing with the mask itself
-        candidates = np.flatnonzero(v > (lo + kind.s_floor) * _FLOOR_SLACK)
-        dropped = u.size - candidates.size
-        if dropped:
+        candidates = np.flatnonzero(v > -kind.floor_gap)
+        dropped = n - candidates.size
+        if candidates.size < m:
             v = v[candidates]
     warm = start is not None and lo < start < hi
     eta = start if warm else -kind.s_uniform
@@ -372,10 +411,12 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
     else:
         s, weights, curvature, sums = weights_at(eta)
     weights, value = _solution_at(shift, eta, s, weights, curvature, kind, sums)
-    if dropped:
-        scattered = np.zeros(u.size)
+    if v.size < m:
+        scattered = np.zeros(m)
         scattered[candidates] = weights
-        weights, value = scattered, value + dropped * kind.floor_value
+        weights = scattered
+    if dropped:
+        value = value + dropped * kind.floor_value
     return DualSolution(threshold=float(shift + eta), weights=weights, value=value, start=eta)
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sqopt.core
 import sqopt.models
 import sqopt.oracles
 import sqopt.smoothing
@@ -387,7 +388,7 @@ class TestWarmStartPasses:
             monkeypatch.setattr(record, "weights_and_curvature", counted_pass)
             if cold:
                 monkeypatch.setattr(sqopt.oracles, "solve_dual_1d",
-                                    lambda u, spec, p, start: solve(u, spec, p))
+                                    lambda u, spec, p, start, n=None: solve(u, spec, p, n=n))
             counts["passes"] = 0
             result = minimize(smoothed_objective(lm, 0.9, SmoothingSpec(kind, nu), 1.0), np.zeros(5))
             monkeypatch.undo()
@@ -424,6 +425,130 @@ class TestOneDualSolvePerCall:
         # each solve starts from the previous solution's start
         assert starts[0] is None
         assert starts[1:] == [sol.start for sol in solutions[:-1]]
+
+
+def screened_maps(seed):
+    """A 5000-row map of each loss, with its screen, and the same map rebuilt without one."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (5000, 6))
+    trend = x @ rng.normal(0.0, 1.0, 6)
+    noisy = trend + (0.5 + np.abs(x[:, 0])) * rng.normal(0.0, 1.0, 5000)
+    for loss, y in (("squared", noisy), ("logistic", np.where(noisy > 0.0, 1.0, -1.0))):
+        lm = pointwise_loss_map(Dataset(x, y), ModelSpec(loss=loss))
+        yield loss, lm, LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply)
+
+
+class TestScreenedOracle:
+    """From 2000 rows the smoothed oracle predicts only the rows that can reach the tail."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The sizes of the samples the oracles hand to ``sqopt.oracles.solve_dual_1d``."""
+        sizes = []
+        solve = sqopt.oracles.solve_dual_1d
+
+        def counted(u, spec, p, start=None, **kwargs):
+            sizes.append(np.size(u))
+            return solve(u, spec, p, start=start, **kwargs)
+
+        monkeypatch.setattr(sqopt.oracles, "solve_dual_1d", counted)
+        return sizes
+
+    @pytest.mark.parametrize("kind,nu,p", [("euclidean", 1.0, 0.9), ("euclidean", 3.0, 0.99),
+                                           ("kl", 0.01, 0.9), ("kl", 0.1, 0.95)])
+    def test_agrees_with_the_full_passes(self, kind, nu, p, solves):
+        spec = SmoothingSpec(kind, nu)
+        for loss, lm, plain in screened_maps(70):
+            rng = np.random.default_rng(71)
+            screened = smoothed_objective(lm, p, spec, 1.0)
+            full = smoothed_objective(plain, p, spec, 1.0)
+            w = np.zeros(lm.dim)
+            solves.clear()
+            for scale in (1e-4, 1e-3, 1e-2, 1e-6, 0.3, 1e-5, 1e-3, 2.0, 1e-4, 0.0):
+                w = w + scale * rng.normal(0.0, 1.0, lm.dim)
+                value, grad = screened(w)
+                full_value, full_grad = full(w)
+                assert abs(value - full_value) <= 1e-12 * abs(full_value), (loss, scale)
+                assert np.abs(grad - full_grad).max() <= 1e-10 * np.abs(full_grad).max(), (loss, scale)
+            # one solve per call, and some calls saw only part of the rows
+            assert len(solves) == 20 and min(solves) < lm.n, loss
+
+    def test_the_screen_keeps_every_row_that_reaches_the_tail(self):
+        spec = SmoothingSpec("kl", 0.03)
+        for loss, lm, _ in screened_maps(72):
+            rng = np.random.default_rng(73)
+            k = sqopt.core._rank(lm.n, 0.9)
+            gap = sqopt.smoothing._floor_gap(spec, lm.n, 0.9)
+            w = rng.normal(0.0, 1.0, lm.dim)
+            for scale in (0.0, 1e-3, 1e-2, 0.1):
+                point = w + scale * rng.normal(0.0, 1.0, lm.dim)
+                kept, _ = lm.screen(point, k, gap)
+                u = lm.eval(point)
+                kth = np.partition(u, k - 1)[k - 1]
+                reach = np.sort(u[u > kth - gap * (1.0 - 1e-9)])
+                assert kept.size < lm.n or scale == 0.0, (loss, scale)
+                # the largest losses are the same rows, to rounding
+                assert np.allclose(np.sort(kept)[-reach.size:], reach, rtol=1e-13, atol=0.0), (loss, scale)
+
+    def test_overflow_gives_inf_without_an_adjoint(self):
+        adjoints = []
+        for loss, lm, _ in screened_maps(74):
+            def screen(w, k, gap, screen=lm.screen):
+                u, adjoint = screen(w, k, gap)
+                return u, lambda q: adjoints.append(q.size) or adjoint(q)
+
+            counted = LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply, screen=screen)
+            oracle = smoothed_objective(counted, 0.9, SmoothingSpec("euclidean", 1.0))
+            w = np.full(lm.dim, 0.1)
+            for point in (w, w + 1e-3):
+                assert np.isfinite(oracle(point)[0])
+            calls = len(adjoints)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for bad in (np.full(lm.dim, 1e308), np.full(lm.dim, np.nan)):
+                    value, grad = oracle(bad)
+                    assert value == np.inf and np.all(np.isnan(grad)), loss
+            assert len(adjoints) == calls, loss
+            # the line search steps back: the screen still serves
+            assert abs(oracle(w)[0] - smoothed_value_grad(lm, w, 0.9, SmoothingSpec("euclidean", 1.0))[0]) \
+                <= 1e-12 * oracle(w)[0]
+
+    def test_closures_of_another_tail_refresh_the_reference(self, monkeypatch):
+        full_passes = []
+        scores = sqopt.models._scores
+        monkeypatch.setattr(sqopt.models, "_scores", lambda z, y, loss: full_passes.append(1) or scores(z, y, loss))
+        _, lm, plain = next(screened_maps(75))
+        rng = np.random.default_rng(76)
+        spec = SmoothingSpec("euclidean", 1.0)
+        oracles = {p: (smoothed_objective(lm, p, spec), smoothed_objective(plain, p, spec)) for p in (0.9, 0.95)}
+        w = rng.normal(0.0, 1.0, lm.dim)
+        # the second call at p = 0.9 reuses its reference; each change of p takes a new one
+        for p, passes in ((0.9, 1), (0.9, 1), (0.95, 2), (0.9, 3), (0.9, 3), (0.95, 4)):
+            w = w + 1e-6 * rng.normal(0.0, 1.0, lm.dim)
+            value, grad = oracles[p][0](w)
+            full_value, full_grad = oracles[p][1](w)
+            assert len(full_passes) == passes, p
+            assert abs(value - full_value) <= 1e-12 * abs(full_value), p
+            assert np.abs(grad - full_grad).max() <= 1e-10 * np.abs(full_grad).max(), p
+
+    def test_screen_from_2000_rows(self):
+        rng = np.random.default_rng(77)
+        for n, screened in ((1999, False), (2000, True)):
+            ds = Dataset(rng.normal(0.0, 1.0, (n, 3)), rng.normal(0.0, 1.0, n))
+            assert (pointwise_loss_map(ds, ModelSpec()).screen is not None) == screened, n
+            groups = GroupStructure(np.arange(n) % 10)
+            assert grouped_loss_map(ds, ModelSpec(), groups).screen is None
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 0.5), ("kl", 0.002)])
+    def test_one_solve_per_screened_call_along_a_fit(self, kind, nu, solves):
+        for loss, lm, _ in screened_maps(78):
+            oracle = smoothed_objective(lm, 0.9, SmoothingSpec(kind, nu), 1.0)
+            calls = []
+            solves.clear()
+            result = minimize(lambda w: calls.append(w) or oracle(w), np.zeros(lm.dim))
+            assert result.status == "converged", loss
+            assert len(solves) == len(calls) > 0, loss
+            assert min(solves) < lm.n, loss
 
 
 class TestMalformedLossVectors:

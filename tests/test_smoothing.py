@@ -604,6 +604,59 @@ class TestFilterGate:
             assert abs(sol.weights.sum() - 1.0) <= 1e-12, n
 
 
+class TestPreScreenedSolve:
+    """``solve_dual_1d(u[kept], spec, p, start, n=u.size)`` is the solve on all of ``u``.
+
+    ``kept`` holds every candidate of the filter and some of the rows it
+    drops; the others are left out by the caller, as a screened loss map does.
+    """
+
+    @staticmethod
+    def candidates(u, spec, p):
+        # the filter's own rule, with the same bits: v > -gap
+        return u - quantile(u, p) > -smoothing_module._floor_gap(spec, u.size, p)
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 1.0), ("kl", 0.01)])
+    @pytest.mark.parametrize("n", [2000, 5000])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9, 0.999])
+    def test_matches_the_full_solve(self, kind, nu, n, p):
+        rng = np.random.default_rng(67)
+        spec = SmoothingSpec(kind, nu)
+        squares = rng.normal(0.0, 1.0, n) ** 2
+        # the second sample is rounded to 0.1, so that many rows tie with the quantile
+        for label, u in (("distinct", squares), ("ties", np.round(squares, 1))):
+            candidates = self.candidates(u, spec, p)
+            dropped_some = False
+            for kept in (candidates, candidates | (rng.random(n) < 0.5)):
+                dropped_some |= not kept.all()
+                full = solve_dual_1d(u, spec, p)
+                for start in (None, full.start, full.start + 1e-3 * nu):
+                    ref = solve_dual_1d(u, spec, p, start=start)
+                    sol = solve_dual_1d(u[kept], spec, p, start=start, n=n)
+                    assert sol.threshold == ref.threshold and sol.value == ref.value, (label, start)
+                    assert sol.start == ref.start, (label, start)
+                    assert sol.weights.tobytes() == ref.weights[kept].tobytes(), (label, start)
+                    assert np.all(ref.weights[~kept] == 0.0), (label, start)
+            # at p = 0 the quantile is the minimum and no row sits a gap below it
+            assert dropped_some == (p > 0.0), label
+
+    def test_bad_sizes_rejected(self):
+        rng = np.random.default_rng(68)
+        spec = SmoothingSpec("euclidean", 1.0)
+        u = rng.normal(0.0, 1.0, 5000) ** 2
+        top = np.sort(u)[1000:]  # m = 4000 values
+        for n in (3999, 0, 4000.0, 5000.0, 4500.5, True, "5000"):
+            with pytest.raises(ValueError, match="sample size n"):
+                solve_dual_1d(top, spec, 0.5, n=n)
+        # n - m omitted rows at or above the quantile's rank k leave it no rank among the m
+        for n, p in ((8000, 0.5), (9000, 0.5), (5000, 0.2), (4001, 0.0)):
+            with pytest.raises(ValueError, match="reach the p-quantile"):
+                solve_dual_1d(top, spec, p, n=n)
+        # n = 7999, p = 0.5: k - (n - m) = 4000 - 3999 = 1, the smallest given value is the quantile
+        sol = solve_dual_1d(top, spec, 0.5, n=7999)
+        assert sol.weights.shape == top.shape and abs(sol.weights.sum() - 1.0) <= 1e-12
+
+
 class TestApproximationQuality:
     @pytest.mark.parametrize("kind", ["euclidean", "kl"])
     def test_sandwich_bound(self, kind):
