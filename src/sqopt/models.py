@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import _as_vector, _is_integer
 from .oracles import LossMap
+from .smoothing import _FILTER_MIN_SIZE
 
 __all__ = [
     "LOSSES",
@@ -217,8 +218,9 @@ _BLOCK_ELEMENTS = 2**17
 # The screen of pointwise_loss_map runs on samples of at least this many
 # rows: on the six fits of perfbench's tall workload (d = 20), drawn at
 # n = 2000 the screened fits took 0.90-0.94 of the time of full passes, at
-# n = 4000 0.78-0.85.
-_SCREEN_MIN_ROWS = 2000
+# n = 4000 0.78-0.85.  It is never below the dual solve's filter gate: a
+# smaller solve weighs every row, so a row left out would change its bits.
+_SCREEN_MIN_ROWS = max(_FILTER_MIN_SIZE, 2000)
 # Its copy holds the rows that can reach the tail at the reference plus this
 # share of all rows.  On the tall fits (n = 40000, seed 1) the median round
 # took 0.250 s at 0, where most calls made a full pass (29-57 per fit),
@@ -226,15 +228,13 @@ _SCREEN_MIN_ROWS = 2000
 # at 0.015; larger shares cut few full passes more (5-8 at 0.08) and made
 # every other call dearer.
 _SCREEN_MARGIN = 0.01
-# No reference whose copy would hold more than this share of the rows.  At
-# 40000 x 20 a logistic fit at p = 0.9 whose losses all lie near log 2 took
-# copies of 92% of the rows and still made a full pass on 22 of its 28
-# calls: 110-122 ms against 100-114 ms without the screen; a squared-loss
-# fit at p = 0.5 with copies of 51% took 35-39 ms against 39-41 ms.
-_SCREEN_MAX_SHARE = 0.5
-# A reference is first sized on every 16th row, so that a fit where it would
-# hold too many rows pays a partition of n/16 scores, not of n.
-_SCREEN_STRIDE = 16
+# No reference whose copy would hold more than this share of the rows: the
+# break-even.  Squared-loss euclidean fits at 40000 x 20 (perfbench's tall
+# data, nu = 1, one BLAS thread, 7 alternating runs, seeds 1, 3 and 5), with
+# copies of a fixed share 1 - p + 0.01, took against the same fits without
+# the screen: 0.86-0.94 of the time at 51%, 1.05 at 56%, 0.97 at 59%,
+# 0.93-1.13 at 61%, 1.08-1.11 at 71%, 1.25 at 81% and 1.29 at 91%.
+_SCREEN_MAX_SHARE = 0.6
 
 
 def _support_pays(count: int, n: int, d: int) -> bool:
@@ -275,7 +275,7 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     At a full pass the screen keeps, in their original order, a contiguous
     copy of the rows that can reach the tail there, plus 1% of the rows
     more: about ``(1 - p + 0.01) n d`` floats, plus the rows within the gap
-    below the quantile, and no copy where that is more than half the rows.
+    below the quantile, and no copy where that is more than 60% of the rows.
     Each later call with the same ``(k, gap)`` tests in O(d) that no other
     row can reach the tail from ``w_ref`` and predicts only the copy; where
     the test fails it makes a full pass and takes a new reference.  A
@@ -373,12 +373,8 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
         if n - k + 1 + math.ceil(_SCREEN_MARGIN * n) > _SCREEN_MAX_SHARE * n:
             return _loss_values(z, y, loss), partial(adjoint, w)
         scores = _scores(z, y, loss)
-        # no reference from overflowed losses; and a sample of every 16th row
-        # first, at a sixteenth of the cost, where the copy would hold too many
-        # rows (losses that all lie near the quantile, or KL at a large nu)
-        sample = scores[::_SCREEN_STRIDE]
-        if math.isfinite(loss_of(float(scores.max()))) and \
-                omittable(sample, math.ceil(k * sample.size / n), gap)[2] > 0:
+        # no reference from overflowed losses
+        if math.isfinite(loss_of(float(scores.max()))):
             s_k, below, omitted = omittable(scores, k, gap)
             if omitted > 0:
                 tau = float(np.partition(below, omitted - 1)[omitted - 1])

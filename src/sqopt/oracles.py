@@ -12,15 +12,15 @@ The smoothed oracle calls ``solve_dual_1d`` once per call, through the name
 bound here, and hands each solution's ``start`` to the next solve.  Its
 ``as_sample`` is the call's one finiteness check: a ``NonFiniteSample``
 becomes the value ``inf`` and a NaN gradient, a failed step for ``minimize``.
-On a loss map with a ``screen`` the smoothed oracle asks it for the losses of
-only the rows that can reach the tail, and solves on those with the whole
-sample's ``n``.
+On a loss map with a ``screen`` the closure ``smoothed_objective`` asks it
+for the losses of only the rows that can reach the tail, and solves on those
+with the whole sample's ``n``; ``smoothed_value_grad`` never does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -99,10 +99,10 @@ class SubdifferentialDescription:
         return len(self.extreme_gradients) <= 1
 
 
-def _losses(loss_map: LossMap, w: np.ndarray):
+def _losses(losses: Callable, w: np.ndarray):
     # a trial step can overflow the losses; as_sample reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        return loss_map.eval(w)
+        return losses(w)
 
 
 def _objective(loss_map: LossMap, reg: float,
@@ -122,13 +122,14 @@ def _objective(loss_map: LossMap, reg: float,
     if not 0.0 <= reg < math.inf:
         raise ValueError(f"reg must be nonnegative and finite, got {reg}")
     n = loss_map.n
+    if losses is None:
+        def losses(w):
+            return loss_map.eval(w), None
 
     def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(w, dtype=float)
         try:
-            # a trial step can overflow the losses; as_sample reports it
-            with np.errstate(over="ignore", invalid="ignore"):
-                u, adjoint = (loss_map.eval(w), None) if losses is None else losses(w)
+            u, adjoint = _losses(losses, w)
             value, weights = value_weights(u)
         except NonFiniteSample:
             # read by ``minimize`` as a failed trial step, not raised
@@ -151,7 +152,7 @@ def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescriptio
     w = np.asarray(w, dtype=float)
     p = check_tail(p)
     try:
-        u = as_sample(_losses(loss_map, w))
+        u = as_sample(_losses(loss_map.eval, w))
     except NonFiniteSample:
         raise ValueError("loss map returned non-finite values") from None
     n = u.size
@@ -177,11 +178,13 @@ def smoothed_value_grad(loss_map: LossMap, w, p: float,
 
     The smoothed weights come from the scalar dual solve on the loss values,
     and the gradient is their adjoint image.  Exactly one ``eval`` and one
-    ``adjoint_apply`` per call, unless the loss map has a ``screen``: then
-    one ``screen`` call and its adjoint replace them.  Non-finite losses give
-    the value ``inf`` and a NaN gradient, without an adjoint.
+    ``adjoint_apply`` per call: a loss map's ``screen`` is not used, so the
+    result depends on the arguments only, not on the map's earlier calls,
+    and a screened :func:`smoothed_objective` agrees with it to rounding.
+    Non-finite losses give the value ``inf`` and a NaN gradient, without an
+    adjoint.
     """
-    return smoothed_objective(loss_map, p, spec)(w)
+    return smoothed_objective(replace(loss_map, screen=None), p, spec)(w)
 
 
 def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
@@ -213,6 +216,8 @@ def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
 
     def value_weights(u) -> tuple[float, np.ndarray]:
         nonlocal start
+        # without a screen, the call keeps the form that wrappers of this name
+        # were written for, (values, spec, p, start=)
         if screen is None:
             sol = solve_dual_1d(u, spec, p, start=start)
         else:

@@ -539,6 +539,32 @@ class TestScreenedOracle:
             groups = GroupStructure(np.arange(n) % 10)
             assert grouped_loss_map(ds, ModelSpec(), groups).screen is None
 
+    def test_no_copy_past_the_break_even_share(self, solves):
+        # a euclidean copy holds about 1 - p + 0.01 of the rows: 56% is kept, 71% is not
+        _, lm, _ = next(screened_maps(80))
+        w = np.full(lm.dim, 0.1)
+        for p, screened in ((0.45, True), (0.3, False)):
+            oracle = smoothed_objective(lm, p, SmoothingSpec("euclidean", 1.0))
+            solves.clear()
+            for point in (w, w + 1e-6):
+                oracle(point)
+            assert (min(solves) < lm.n) == screened, p
+
+    def test_value_grad_reads_no_screen(self):
+        # the one-shot oracle depends on its arguments only, not on a kept reference
+        spec = SmoothingSpec("kl", 0.03)
+        for loss, lm, plain in screened_maps(79):
+            screens = []
+            counted = LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply,
+                              screen=lambda *args, screen=lm.screen: screens.append(1) or screen(*args))
+            w = np.full(lm.dim, 0.1)
+            smoothed_objective(counted, 0.9, spec)(w)
+            for point in (w, w + 1e-4):
+                value, grad = smoothed_value_grad(counted, point, 0.9, spec)
+                plain_value, plain_grad = smoothed_value_grad(plain, point, 0.9, spec)
+                assert value == plain_value and np.array_equal(grad, plain_grad), loss
+            assert len(screens) == 1, loss
+
     @pytest.mark.parametrize("kind,nu", [("euclidean", 0.5), ("kl", 0.002)])
     def test_one_solve_per_screened_call_along_a_fit(self, kind, nu, solves):
         for loss, lm, _ in screened_maps(78):
