@@ -37,6 +37,14 @@ Once per case, whatever the divergence, the exact side of ``sqopt.core`` adds
 ``quantile``, ``superquantile_integral``, ``superquantile_dual`` (value and
 weights) and ``superquantile_variational`` (value and eta).
 
+Once per run, the ``oracles`` part fits through each tree's oracles and
+``minimize``: on a seeded 5000 x 6 ``pointwise_loss_map`` of each loss, large
+enough for its screen, euclidean (nu = 1) and KL (nu = 0.01) fits of
+``smoothed_objective`` at p = 0.9 with ``reg = 1``, from zeros, in two rounds
+on one map; then one KL fit on a ``grouped_loss_map`` of 50 groups and one
+``erm_objective`` fit.  Each fit's parts are its status (as its bytes), its
+iteration count, its value and ``w*``, relative to no unit.
+
 Usage:  python scripts/smoothing_digest.py --against SRC [samples]   (default 2000)
 """
 
@@ -115,6 +123,31 @@ def outputs(sm, u, spec, p, draw):
     yield "positive_part", ((sm.smoothed_positive_part(shifted, spec, n, p), loss),)
 
 
+def oracle_outputs(tree):
+    """Yield ``(name, parts)`` of the fits through the ``sqopt`` package ``tree``; a part is ``(numbers, unit)``."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(0.0, 1.0, (5000, 6))
+    noisy = x @ rng.normal(0.0, 1.0, 6) + (0.5 + np.abs(x[:, 0])) * rng.normal(0.0, 1.0, 5000)
+    zeros = np.zeros(6)
+
+    def parts(result):
+        return (list(result.status.encode()), 0.0), (result.iterations, 0.0), (result.value, 0.0), \
+            (result.w_star, 0.0)
+
+    for loss, y in (("squared", noisy), ("logistic", np.where(noisy > 0.0, 1.0, -1.0))):
+        loss_map = tree.pointwise_loss_map(tree.Dataset(x, y), tree.ModelSpec(loss=loss))
+        for round_ in (0, 1):
+            for kind, nu in (("euclidean", 1.0), ("kl", 0.01)):
+                oracle = tree.oracles.smoothed_objective(loss_map, 0.9, tree.SmoothingSpec(kind, nu), 1.0)
+                yield f"{loss} {kind} round {round_}", parts(tree.minimize(oracle, zeros))
+    data = tree.Dataset(x, noisy)
+    grouped = tree.grouped_loss_map(data, tree.ModelSpec(), tree.GroupStructure(np.arange(5000) % 50))
+    oracle = tree.oracles.smoothed_objective(grouped, 0.9, tree.SmoothingSpec("kl", 0.1), 1.0)
+    yield "grouped kl", parts(tree.minimize(oracle, zeros))
+    oracle = tree.oracles.erm_objective(tree.pointwise_loss_map(data, tree.ModelSpec()), 1.0)
+    yield "erm", parts(tree.minimize(oracle, zeros))
+
+
 def deviation(x: np.ndarray, y: np.ndarray, unit: float) -> float:
     """``max|x - y| / max(max|x|, max|y|, unit)`` over the finite entries; inf if the others differ."""
     finite = np.isfinite(x)
@@ -149,9 +182,10 @@ def main(against: str, samples: int) -> int:
             draw = float(perturb.normal())
             compare(kind, case, *(outputs(tree.smoothing, u, tree.SmoothingSpec(kind, nu), p, draw)
                                   for tree in trees))
-    print(f"{'output':32s} {'differ':>7s} {'parts':>7s}  largest relative deviation")
+    compare("oracles", None, *(oracle_outputs(tree) for tree in trees))
+    print(f"{'output':36s} {'differ':>7s} {'parts':>7s}  largest relative deviation")
     for key, (differ, parts, worst, case) in sorted(table.items(), key=lambda item: (-item[1][2], item[0])):
-        print(f"{key:32s} {differ:7d} {parts:7d}  {worst:.3e}" + (f"  (case {case})" if case is not None else ""))
+        print(f"{key:36s} {differ:7d} {parts:7d}  {worst:.3e}" + (f"  (case {case})" if case is not None else ""))
     differ, parts = sum(row[0] for row in table.values()), sum(row[1] for row in table.values())
     print(f"{differ} of {parts} parts not bit-identical; "
           f"largest relative deviation {max(row[2] for row in table.values()):.3e}")

@@ -271,17 +271,18 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     From 2000 rows the map has a ``screen`` (see :class:`LossMap`).  A row's
     loss increases with its score, ``|y - z|`` for the squared loss and
     ``-y z`` for the logistic, and a score moves by at most ``M |w - w_ref|``
-    from a reference point ``w_ref``, where ``M`` is the largest row norm.
-    At a full pass the screen keeps, in their original order, a contiguous
-    copy of the rows that can reach the tail there, plus 1% of the rows
-    more: about ``(1 - p + 0.01) n d`` floats, plus the rows within the gap
-    below the quantile, and no copy where that is more than 60% of the rows.
-    Each later call with the same ``(k, gap)`` tests in O(d) that no other
-    row can reach the tail from ``w_ref`` and predicts only the copy; where
-    the test fails it makes a full pass and takes a new reference.  A
-    product over the copy sums each row as the full product does, but its
-    bits can differ in the last place with the row's position, so a screened
-    oracle agrees with one over ``eval`` and ``adjoint_apply`` to rounding.
+    from a reference point ``w_ref``, where ``M`` is the largest row norm,
+    computed once per map.  Each closure ``screen(k, gap)`` owns its
+    reference.  At a full pass it keeps, in their original order, a
+    contiguous copy of the rows that can reach the tail there, plus 1% of
+    the rows more: about ``(1 - p + 0.01) n d`` floats, plus the rows within
+    the gap below the quantile, and no copy where that is more than 60% of
+    the rows.  Each later call tests in O(d) that no other row can reach the
+    tail from ``w_ref`` and predicts only the copy; where the test fails it
+    makes a full pass and takes a new reference.  A product over the copy
+    sums each row as the full product does, but its bits can differ in the
+    last place with the row's position, so a screened oracle agrees with one
+    over ``eval`` and ``adjoint_apply`` to rounding.
     """
     phi = design_matrix(dataset, model)
     y = dataset.targets
@@ -291,9 +292,6 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     n, d = phi.shape
     block = max(1, _BLOCK_ELEMENTS // max(d, 1))
     latest = None  # (w.tobytes(), phi @ w), replaced as one tuple
-    # ((k, gap), w_ref, |w_ref|, k-th score s_k, largest omitted score tau,
-    # kept rows of phi, their targets), replaced as one tuple
-    reference = None
     row_norm = None  # M, computed on the first screen
     loss_of, loss_low, score_of = _loss_bounds(loss)
     # bounds the rounding of a prediction phi_i @ w, relative to |phi_i| |w|
@@ -354,37 +352,48 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
         omitted = free - math.ceil(_SCREEN_MARGIN * scores.size)
         return s_k, below, omitted if scores.size - omitted <= _SCREEN_MAX_SHARE * scores.size else 0
 
-    def screen(w: np.ndarray, k: int, gap: float):
-        nonlocal reference, row_norm
-        w = np.asarray(w, dtype=float)
-        if row_norm is None:
-            row_norm = math.sqrt(float(np.einsum("ij,ij->i", phi, phi).max()))
-        w_norm = math.sqrt(float(w @ w))
-        cached = reference  # read once
-        if cached is not None and cached[0] == (k, gap):
-            _, w_ref, ref_norm, s_k, tau, x, t = cached
-            step = w - w_ref
-            reach = row_norm * (math.sqrt(float(step @ step)) + rounding * (w_norm + ref_norm))
-            if holds(tau, s_k, reach * (1.0 + 1e-9), gap):
-                z = x @ w
-                return _loss_values(z, t, loss), partial(kept_adjoint, x, t, z)
-        z = predictions(w)
+    def screen(k: int, gap: float):
+        nonlocal row_norm
+        # (w_ref, |w_ref|, k-th score s_k, largest omitted score tau, kept rows
+        # of phi, their targets), replaced as one tuple
+        reference = None
+
+        def full(w: np.ndarray):
+            z = predictions(w)
+            return _loss_values(z, y, loss), partial(adjoint, w)
+
         # the rows from the k-th up alone fill more than the copy may hold
         if n - k + 1 + math.ceil(_SCREEN_MARGIN * n) > _SCREEN_MAX_SHARE * n:
-            return _loss_values(z, y, loss), partial(adjoint, w)
-        scores = _scores(z, y, loss)
-        # no reference from overflowed losses
-        if math.isfinite(loss_of(float(scores.max()))):
-            s_k, below, omitted = omittable(scores, k, gap)
-            if omitted > 0:
-                tau = float(np.partition(below, omitted - 1)[omitted - 1])
-                if holds(tau, s_k, row_norm * rounding * 2.0 * w_norm, gap):
-                    rows = np.flatnonzero(scores > tau)
-                    # take copies the rows in 0.6 of the time of phi[rows]
-                    x, t, z = phi.take(rows, axis=0), y[rows], z[rows]
-                    reference = ((k, gap), w.copy(), w_norm, s_k, tau, x, t)
+            return full
+        if row_norm is None:
+            row_norm = math.sqrt(float(np.einsum("ij,ij->i", phi, phi).max()))
+
+        def screened(w: np.ndarray):
+            nonlocal reference
+            w_norm = math.sqrt(float(w @ w))
+            if reference is not None:
+                w_ref, ref_norm, s_k, tau, x, t = reference
+                step = w - w_ref
+                reach = row_norm * (math.sqrt(float(step @ step)) + rounding * (w_norm + ref_norm))
+                if holds(tau, s_k, reach * (1.0 + 1e-9), gap):
+                    z = x @ w
                     return _loss_values(z, t, loss), partial(kept_adjoint, x, t, z)
-        return _loss_values(z, y, loss), partial(adjoint, w)
+            z = predictions(w)
+            scores = _scores(z, y, loss)
+            # no reference from overflowed losses
+            if math.isfinite(loss_of(float(scores.max()))):
+                s_k, below, omitted = omittable(scores, k, gap)
+                if omitted > 0:
+                    tau = float(np.partition(below, omitted - 1)[omitted - 1])
+                    if holds(tau, s_k, row_norm * rounding * 2.0 * w_norm, gap):
+                        rows = np.flatnonzero(scores > tau)
+                        # take copies the rows in 0.6 of the time of phi[rows]
+                        x, t, z = phi.take(rows, axis=0), y[rows], z[rows]
+                        reference = (w.copy(), w_norm, s_k, tau, x, t)
+                        return _loss_values(z, t, loss), partial(kept_adjoint, x, t, z)
+            return full(w)
+
+        return screened
 
     return LossMap(dim=d, n=n, eval=eval_losses, adjoint_apply=adjoint,
                    screen=screen if n >= _SCREEN_MIN_ROWS else None)

@@ -8,19 +8,24 @@ while :func:`smoothed_value_grad` evaluates the smooth surrogate whose
 gradient is a single weighted adjoint application.  The mean-loss baseline
 has only its closure: ``erm_objective(loss_map, reg)(w)`` is one call.
 
-The smoothed oracle calls ``solve_dual_1d`` once per call, through the name
-bound here, and hands each solution's ``start`` to the next solve.  Its
-``as_sample`` is the call's one finiteness check: a ``NonFiniteSample``
-becomes the value ``inf`` and a NaN gradient, a failed step for ``minimize``.
-On a loss map with a ``screen`` the closure ``smoothed_objective`` asks it
-for the losses of only the rows that can reach the tail, and solves on those
-with the whole sample's ``n``; ``smoothed_value_grad`` never does.
+Every oracle takes its losses from one callable ``w -> (losses, adjoint)``
+and turns its weights into a gradient with the ``adjoint`` that call
+returned: over ``eval`` and ``adjoint_apply``, or, for the closure
+``smoothed_objective`` on a loss map with a ``screen``, the closure that the
+screen builds for it, which gives the losses of only the rows that can
+reach the tail and owns the state it keeps for that.  The smoothed oracle
+calls ``solve_dual_1d`` once per call, through the name bound here, with
+the whole sample's ``n`` when the losses are screened, and hands each
+solution's ``start`` to the next solve.  Its ``as_sample`` is the call's one
+finiteness check: a ``NonFiniteSample`` becomes the value ``inf`` and a NaN
+gradient, a failed step for ``minimize``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -58,22 +63,22 @@ class LossMap:
     large sample.  No Jacobian is ever materialized.
 
     ``screen``, optional, serves the smoothed oracle on large samples.
-    ``screen(w, k, gap)`` returns the losses of some ``m <= n`` of the
-    components, in their original order, and the adjoint over those: a
-    function of their ``m`` weights.  It promises that every component it
-    leaves out has a loss at least ``gap`` below the ``k``-th smallest of
-    all ``n``, so that its smoothed weight is at its floor.  The losses and
-    the adjoint may differ from ``eval`` and ``adjoint_apply`` by rounding.
-    The oracle closures built on a loss map need not be pure: see
-    :func:`smoothed_objective`.
+    ``screen(k, gap)`` returns a fresh closure ``w -> (losses, adjoint)``:
+    the losses of some ``m <= n`` of the components at ``w``, in their
+    original order, and the adjoint over those, a function of their ``m``
+    weights.  It promises that every component it leaves out has a loss at
+    least ``gap`` below the ``k``-th smallest of all ``n``, so that its
+    smoothed weight is at its floor.  The losses and the adjoint may differ
+    from ``eval`` and ``adjoint_apply`` by rounding.  The closure may keep
+    state from call to call; the map keeps none that changes its results,
+    so closures built on one map do not affect each other.
     """
 
     dim: int
     n: int
     eval: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    screen: Callable[[np.ndarray, int, float],
-                     tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]] | None = None
+    screen: Callable[[int, float], Callable[[np.ndarray], tuple]] | None = None
 
 
 @dataclass(frozen=True)
@@ -105,26 +110,24 @@ def _losses(losses: Callable, w: np.ndarray):
         return losses(w)
 
 
-def _objective(loss_map: LossMap, reg: float,
-               value_weights: Callable[[np.ndarray], tuple[float, np.ndarray]],
-               losses: Callable[[np.ndarray], tuple] | None = None
+def _full(loss_map: LossMap) -> Callable[[np.ndarray], tuple]:
+    """``w -> (eval(w), adjoint_apply(w, .))``: every loss, one ``eval`` and one ``adjoint_apply`` per call."""
+    return lambda w: (loss_map.eval(w), partial(loss_map.adjoint_apply, w))
+
+
+def _objective(losses: Callable[[np.ndarray], tuple], n: int, reg: float,
+               value_weights: Callable[[np.ndarray], tuple[float, np.ndarray]]
                ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Closure ``w -> (value, grad)`` of a risk of the losses plus ``reg/(2n) ||w||^2``.
 
-    ``value_weights`` checks the loss vector with ``as_sample`` and maps it
-    to the risk and to the weights whose adjoint image is the risk's
-    gradient.  ``losses(w)`` gives that loss vector and the adjoint that
-    takes its weights; without it, exactly one ``eval`` and one
-    ``adjoint_apply`` per call.  Non-finite losses give the value ``inf``
-    and a NaN gradient, without an adjoint, and an empty or
-    multi-dimensional loss vector raises.
+    ``losses(w)`` gives the loss vector and the adjoint that takes its
+    weights.  ``value_weights`` checks the loss vector with ``as_sample`` and
+    maps it to the risk and to the weights whose adjoint image is the risk's
+    gradient.  Non-finite losses give the value ``inf`` and a NaN gradient,
+    without an adjoint, and an empty or multi-dimensional loss vector raises.
     """
     if not 0.0 <= reg < math.inf:
         raise ValueError(f"reg must be nonnegative and finite, got {reg}")
-    n = loss_map.n
-    if losses is None:
-        def losses(w):
-            return loss_map.eval(w), None
 
     def oracle(w: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(w, dtype=float)
@@ -134,8 +137,7 @@ def _objective(loss_map: LossMap, reg: float,
         except NonFiniteSample:
             # read by ``minimize`` as a failed trial step, not raised
             return math.inf, np.full(w.shape, np.nan)
-        grad = loss_map.adjoint_apply(w, weights) if adjoint is None else adjoint(weights)
-        grad = np.asarray(grad, dtype=float)
+        grad = np.asarray(adjoint(weights), dtype=float)
         return value + 0.5 * reg / n * float(w @ w), grad + (reg / n) * w
 
     return oracle
@@ -172,19 +174,36 @@ def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescriptio
                                       hull_weight=hull_weight, selected=selected)
 
 
+def _smoothed(loss_map: LossMap, p: float, spec: SmoothingSpec, reg: float, losses: Callable[[np.ndarray], tuple],
+              n: int | None) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """Closure ``w -> (value, grad)`` of the smoothed objective over ``losses``, one solve per call.
+
+    Each call solves with ``n``, the whole sample's size for screened losses
+    and ``None`` for all of them, from the previous solution's ``start``.
+    """
+    start = None
+
+    def value_weights(u) -> tuple[float, np.ndarray]:
+        nonlocal start
+        sol = solve_dual_1d(u, spec, p, start=start, n=n)
+        start = sol.start
+        return sol.value, sol.weights
+
+    return _objective(losses, loss_map.n, reg, value_weights)
+
+
 def smoothed_value_grad(loss_map: LossMap, w, p: float,
                         spec: SmoothingSpec) -> tuple[float, np.ndarray]:
     """Value and gradient of the smoothed tail-risk objective.
 
     The smoothed weights come from the scalar dual solve on the loss values,
     and the gradient is their adjoint image.  Exactly one ``eval`` and one
-    ``adjoint_apply`` per call: a loss map's ``screen`` is not used, so the
-    result depends on the arguments only, not on the map's earlier calls,
-    and a screened :func:`smoothed_objective` agrees with it to rounding.
-    Non-finite losses give the value ``inf`` and a NaN gradient, without an
-    adjoint.
+    ``adjoint_apply`` per call, and one cold solve: a loss map's ``screen``
+    is not used, so the result depends on the arguments only, and a screened
+    :func:`smoothed_objective` agrees with it to rounding.  Non-finite
+    losses give the value ``inf`` and a NaN gradient, without an adjoint.
     """
-    return smoothed_objective(replace(loss_map, screen=None), p, spec)(w)
+    return _smoothed(loss_map, check_tail(p), spec, 0.0, _full(loss_map), None)(w)
 
 
 def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
@@ -193,40 +212,25 @@ def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
 
     ``p`` is checked here, when the closure is built, as ``reg`` is.  Each
     call makes one ``solve_dual_1d``, whose ``as_sample`` checks the losses.
-    On a loss map with a ``screen``, the losses come from one ``screen(w, k,
-    gap)`` call, with ``k`` the rank of the p-quantile among the map's ``n``
+    On a loss map with a ``screen``, the closure calls ``screen(k, gap)``
+    once, with ``k`` the rank of the p-quantile among the map's ``n``
     components and ``gap`` the one below which the solve drops a row, and
-    the solve and the adjoint run on the rows it returns; otherwise one
-    ``eval`` and one ``adjoint_apply``.
+    each call takes its losses and adjoint from the screened closure that
+    returns, solving with the map's ``n``; otherwise one ``eval`` and one
+    ``adjoint_apply``.
     The closure carries state: it keeps the last solution's ``start`` and
     starts the next solve's Newton iteration there, which saves a quarter
-    to a half of the passes over the losses along a solver's path.  A
-    closure fed the same sequence of points, on a loss map in the same
-    state (a screen keeps its reference across closures), replays the same
-    values bit for bit, and each call agrees with a cold solve
-    (:func:`smoothed_value_grad`) to rounding.  Use one closure per fit and
-    per thread.
+    to a half of the passes over the losses along a solver's path, and the
+    screened closure keeps its reference.  Neither lives on the loss map, so
+    a closure fed the same sequence of points replays the same values bit
+    for bit, whatever other closures did on the same map, and each call
+    agrees with a cold solve (:func:`smoothed_value_grad`) to rounding.  Use
+    one closure per fit and per thread.
     """
-    p = check_tail(p)
-    start = None
-    screen = loss_map.screen
-    if screen is not None:
-        n = loss_map.n
-        rank, gap = _rank(n, p), _floor_gap(spec, n, p)
-
-    def value_weights(u) -> tuple[float, np.ndarray]:
-        nonlocal start
-        # without a screen, the call keeps the form that wrappers of this name
-        # were written for, (values, spec, p, start=)
-        if screen is None:
-            sol = solve_dual_1d(u, spec, p, start=start)
-        else:
-            sol = solve_dual_1d(u, spec, p, start=start, n=n)
-        start = sol.start
-        return sol.value, sol.weights
-
-    losses = None if screen is None else (lambda w: screen(w, rank, gap))
-    return _objective(loss_map, reg, value_weights, losses)
+    p, n = check_tail(p), loss_map.n
+    if loss_map.screen is None:
+        return _smoothed(loss_map, p, spec, reg, _full(loss_map), None)
+    return _smoothed(loss_map, p, spec, reg, loss_map.screen(_rank(n, p), _floor_gap(spec, n, p)), n)
 
 
 def erm_objective(loss_map: LossMap, reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
@@ -240,7 +244,7 @@ def erm_objective(loss_map: LossMap, reg: float = 0.0) -> Callable[[np.ndarray],
         u = as_sample(u)
         return float(u.mean()), np.full(u.size, 1.0 / u.size)
 
-    return _objective(loss_map, reg, value_weights)
+    return _objective(_full(loss_map), loss_map.n, reg, value_weights)
 
 
 def finite_difference_grad(value_fn: Callable[[np.ndarray], float], w) -> np.ndarray:

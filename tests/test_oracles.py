@@ -411,9 +411,9 @@ class TestOneDualSolvePerCall:
         solve = sqopt.oracles.solve_dual_1d
         solutions, starts = [], []
 
-        def counted(u, spec, p, start=None):
+        def counted(u, spec, p, start=None, n=None):
             starts.append(start)
-            solutions.append(solve(u, spec, p, start=start))
+            solutions.append(solve(u, spec, p, start=start, n=n))
             return solutions[-1]
 
         monkeypatch.setattr(sqopt.oracles, "solve_dual_1d", counted)
@@ -482,7 +482,7 @@ class TestScreenedOracle:
             w = rng.normal(0.0, 1.0, lm.dim)
             for scale in (0.0, 1e-3, 1e-2, 0.1):
                 point = w + scale * rng.normal(0.0, 1.0, lm.dim)
-                kept, _ = lm.screen(point, k, gap)
+                kept, _ = lm.screen(k, gap)(point)
                 u = lm.eval(point)
                 kth = np.partition(u, k - 1)[k - 1]
                 reach = np.sort(u[u > kth - gap * (1.0 - 1e-9)])
@@ -493,9 +493,13 @@ class TestScreenedOracle:
     def test_overflow_gives_inf_without_an_adjoint(self):
         adjoints = []
         for loss, lm, _ in screened_maps(74):
-            def screen(w, k, gap, screen=lm.screen):
-                u, adjoint = screen(w, k, gap)
-                return u, lambda q: adjoints.append(q.size) or adjoint(q)
+            def screen(k, gap, screen=lm.screen):
+                losses = screen(k, gap)
+
+                def counted_losses(w):
+                    u, adjoint = losses(w)
+                    return u, lambda q: adjoints.append(q.size) or adjoint(q)
+                return counted_losses
 
             counted = LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply, screen=screen)
             oracle = smoothed_objective(counted, 0.9, SmoothingSpec("euclidean", 1.0))
@@ -513,7 +517,7 @@ class TestScreenedOracle:
             assert abs(oracle(w)[0] - smoothed_value_grad(lm, w, 0.9, SmoothingSpec("euclidean", 1.0))[0]) \
                 <= 1e-12 * oracle(w)[0]
 
-    def test_closures_of_another_tail_refresh_the_reference(self, monkeypatch):
+    def test_interleaved_closures_keep_their_own_reference(self, monkeypatch):
         full_passes = []
         scores = sqopt.models._scores
         monkeypatch.setattr(sqopt.models, "_scores", lambda z, y, loss: full_passes.append(1) or scores(z, y, loss))
@@ -522,14 +526,28 @@ class TestScreenedOracle:
         spec = SmoothingSpec("euclidean", 1.0)
         oracles = {p: (smoothed_objective(lm, p, spec), smoothed_objective(plain, p, spec)) for p in (0.9, 0.95)}
         w = rng.normal(0.0, 1.0, lm.dim)
-        # the second call at p = 0.9 reuses its reference; each change of p takes a new one
-        for p, passes in ((0.9, 1), (0.9, 1), (0.95, 2), (0.9, 3), (0.9, 3), (0.95, 4)):
+        # each closure takes one reference and keeps it, whatever the other one does on the same map
+        for p, passes in ((0.9, 1), (0.9, 1), (0.95, 2), (0.9, 2), (0.9, 2), (0.95, 2)):
             w = w + 1e-6 * rng.normal(0.0, 1.0, lm.dim)
             value, grad = oracles[p][0](w)
             full_value, full_grad = oracles[p][1](w)
             assert len(full_passes) == passes, p
             assert abs(value - full_value) <= 1e-12 * abs(full_value), p
             assert np.abs(grad - full_grad).max() <= 1e-10 * np.abs(full_grad).max(), p
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 1.0), ("kl", 0.01)])
+    def test_refit_on_a_used_map_replays_a_fresh_one(self, kind, nu):
+        # a warm refit next to the same fit's last point: no state of the first fit reaches it
+        used, fresh = (next(screened_maps(70))[1] for _ in range(2))
+        spec = SmoothingSpec(kind, nu)
+        first = minimize(smoothed_objective(used, 0.9, spec, 1.0), np.zeros(used.dim))
+        start = 1.001 * first.w_star
+        again = minimize(smoothed_objective(used, 0.9, spec, 1.0), start)
+        anew = minimize(smoothed_objective(fresh, 0.9, spec, 1.0), start)
+        assert first.status == again.status == anew.status == "converged"
+        assert again.iterations == anew.iterations
+        assert again.value == anew.value
+        assert again.w_star.tobytes() == anew.w_star.tobytes()
 
     def test_screen_from_2000_rows(self):
         rng = np.random.default_rng(77)
@@ -555,8 +573,12 @@ class TestScreenedOracle:
         spec = SmoothingSpec("kl", 0.03)
         for loss, lm, plain in screened_maps(79):
             screens = []
-            counted = LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply,
-                              screen=lambda *args, screen=lm.screen: screens.append(1) or screen(*args))
+
+            def screen(k, gap, screen=lm.screen):
+                losses = screen(k, gap)
+                return lambda w: screens.append(1) or losses(w)
+
+            counted = LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply, screen=screen)
             w = np.full(lm.dim, 0.1)
             smoothed_objective(counted, 0.9, spec)(w)
             for point in (w, w + 1e-4):
