@@ -41,9 +41,14 @@ Once per run, the ``oracles`` part fits through each tree's oracles and
 ``minimize``: on a seeded 5000 x 6 ``pointwise_loss_map`` of each loss, large
 enough for its screen, euclidean (nu = 1) and KL (nu = 0.01) fits of
 ``smoothed_objective`` at p = 0.9 with ``reg = 1``, from zeros, in two rounds
-on one map; then one KL fit on a ``grouped_loss_map`` of 50 groups and one
-``erm_objective`` fit.  Each fit's parts are its status (as its bytes), its
-iteration count, its value and ``w*``, relative to no unit.
+on one map; on both sides of ``core._ROW_GATE``, where the dual filter,
+the gathered adjoint and the screen switch on, a euclidean fit on its first
+1999 and first 2000 rows and a KL fit (nu = 0.01) on a ``grouped_loss_map``
+of those rows, one per group, so 1999 and 2000 groups; then one KL fit (nu =
+0.1) on a ``grouped_loss_map`` of 50 groups and one ``erm_objective`` fit.
+A tree that moves one of the three switches alone by a row differs in at
+least one of the gate fits.  Each fit's parts are its status (as its
+bytes), its iteration count, its value and ``w*``, relative to no unit.
 
 Usage:  python scripts/smoothing_digest.py --against SRC [samples]   (default 2000)
 """
@@ -140,6 +145,16 @@ def oracle_outputs(tree):
             for kind, nu in (("euclidean", 1.0), ("kl", 0.01)):
                 oracle = tree.oracles.smoothed_objective(loss_map, 0.9, tree.SmoothingSpec(kind, nu), 1.0)
                 yield f"{loss} {kind} round {round_}", parts(tree.minimize(oracle, zeros))
+    # both sides of the row gate: the screen serves every adjoint of the 2000-row pointwise fit, so the
+    # gathered adjoint is reached through a grouped map of one row per group, which has no screen
+    for rows in (1999, 2000):
+        data = tree.Dataset(x[:rows], noisy[:rows])
+        oracle = tree.oracles.smoothed_objective(tree.pointwise_loss_map(data, tree.ModelSpec()), 0.9,
+                                                 tree.SmoothingSpec("euclidean", 1.0), 1.0)
+        yield f"squared euclidean {rows} rows", parts(tree.minimize(oracle, zeros))
+        grouped = tree.grouped_loss_map(data, tree.ModelSpec(), tree.GroupStructure(np.arange(rows)))
+        oracle = tree.oracles.smoothed_objective(grouped, 0.9, tree.SmoothingSpec("kl", 0.01), 1.0)
+        yield f"grouped kl {rows} groups", parts(tree.minimize(oracle, zeros))
     data = tree.Dataset(x, noisy)
     grouped = tree.grouped_loss_map(data, tree.ModelSpec(), tree.GroupStructure(np.arange(5000) % 50))
     oracle = tree.oracles.smoothed_objective(grouped, 0.9, tree.SmoothingSpec("kl", 0.1), 1.0)

@@ -38,6 +38,26 @@ __all__ = [
     "superquantile_variational",
 ]
 
+# The row gate: from this many rows on, three mechanisms leave rows out, the
+# candidate filter of sqopt.smoothing.solve_dual_1d and the gathered adjoint
+# and the screen of sqopt.models.pointwise_loss_map.  Below it each costs more
+# than the rows it skips (2-core host, one BLAS thread):
+# - the filter: 3.5-6 us more on a 22-35 us warm euclidean solve at n = 160,
+#   p = 0.9, and about even at n = 1e3;
+# - the gather at d = 20: 2.4 times the dense 2.8 us at n = 276 whatever the
+#   support, 1.35-1.6 times at n = 1000 and 1-10% support, 0.8-1.5 times at
+#   n = 2000 and 0.5-0.85 times at n = 4000;
+# - the screen, on the six fits of perfbench's tall workload (d = 20): drawn at
+#   n = 2000 they took 0.90-0.94 of the time of full passes, at n = 4000
+#   0.78-0.85.
+# The studies' fits of a few hundred rows take none of them, bit for bit.  The
+# screen must never run below the filter: a solve that filters nothing weighs
+# every row, so a row left out would change its bits; one gate keeps them
+# together.  It counts rows, not bytes: while the design matrix stays in cache
+# the dense adjoint is fast, and the gather's break-even share falls to about
+# 0.1 at d = 20.
+_ROW_GATE = 2000
+
 
 class NonFiniteSample(ValueError):
     """A sample holds an infinite or NaN value; raised by :func:`as_sample` only."""

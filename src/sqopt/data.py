@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_integer
 from .models import Dataset, GroupStructure
 
 __all__ = [
@@ -44,10 +45,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not _is_integer(self.n) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        # written so that a NaN fails it too
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma!r}")
         if self.mixture is not None:
             fraction = self.mixture[0]
             if not 0.0 < fraction < 1.0:
@@ -89,8 +91,8 @@ def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray,
     """Disjoint train/test row indices (sorted), together covering all rows."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    if n < 2:
-        raise ValueError("need at least two rows to split")
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"need at least two rows to split: n must be an integer >= 2, got {n!r}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(round(train_fraction * n))

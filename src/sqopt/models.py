@@ -14,9 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import _as_vector, _is_integer
+from .core import _ROW_GATE, _as_vector, _is_integer
 from .oracles import LossMap
-from .smoothing import _FILTER_MIN_SIZE
 
 __all__ = [
     "LOSSES",
@@ -204,29 +203,15 @@ def _loss_dz(z: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
     return -y * np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
-# The adjoint reads only the rows of nonzero weight on samples of at least
-# this many rows.  Below it the gather's fixed costs outweigh the rows it
-# skips: with one BLAS thread at d = 20 the restricted product took 2.4 times
-# the dense 2.8 us at n = 276 whatever the support, 1.35-1.6 times at n = 1000
-# and 1-10% support, 0.8-1.5 times at n = 2000 and 0.5-0.85 times at n = 4000.
-# It keeps the studies' fits of a few hundred rows on the dense product, bit
-# for bit.
-_SUPPORT_MIN_ROWS = 2000
 # Gathered rows per block, as float64 elements: 1 MiB, so that the restricted
 # adjoint's peak memory does not grow with the support.
 _BLOCK_ELEMENTS = 2**17
-# The screen of pointwise_loss_map runs on samples of at least this many
-# rows: on the six fits of perfbench's tall workload (d = 20), drawn at
-# n = 2000 the screened fits took 0.90-0.94 of the time of full passes, at
-# n = 4000 0.78-0.85.  It is never below the dual solve's filter gate: a
-# smaller solve weighs every row, so a row left out would change its bits.
-_SCREEN_MIN_ROWS = max(_FILTER_MIN_SIZE, 2000)
-# Its copy holds the rows that can reach the tail at the reference plus this
-# share of all rows.  On the tall fits (n = 40000, seed 1) the median round
-# took 0.250 s at 0, where most calls made a full pass (29-57 per fit),
-# 0.178 s at 0.005, 0.170 s at 0.01 (7-11 full passes per fit) and 0.173 s
-# at 0.015; larger shares cut few full passes more (5-8 at 0.08) and made
-# every other call dearer.
+# The copy of pointwise_loss_map's screen holds the rows that can reach the
+# tail at the reference plus this share of all rows.  On the tall fits
+# (n = 40000, seed 1) the median round took 0.250 s at 0, where most calls
+# made a full pass (29-57 per fit), 0.178 s at 0.005, 0.170 s at 0.01 (7-11
+# full passes per fit) and 0.173 s at 0.015; larger shares cut few full
+# passes more (5-8 at 0.08) and made every other call dearer.
 _SCREEN_MARGIN = 0.01
 # No reference whose copy would hold more than this share of the rows: the
 # break-even.  Squared-loss euclidean fits at 40000 x 20 (perfbench's tall
@@ -262,13 +247,15 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     of the preceding ``eval`` makes one n x d pass plus the weighted rows.  A
     different point, or the same array changed in place, is recomputed.
 
-    The adjoint skips rows of zero weight: on samples of at least 2000 rows
-    whose weights are zero on enough rows, it gathers the others in blocks
-    of 1 MiB and sums their products, instead of the dense ``phi.T @ r``.
-    The two sum in a different order, so they agree to rounding, not bit for
-    bit.
+    From the row gate ``core._ROW_GATE`` (2000 rows) on, where the dual
+    solve's candidate filter also runs, the map leaves rows out in two ways,
+    and below it in neither.  First, the adjoint skips rows of zero weight:
+    where the weights are zero on enough rows, it gathers the others in
+    blocks of 1 MiB and sums their products, instead of the dense ``phi.T @
+    r``.  The two sum in a different order, so they agree to rounding, not
+    bit for bit.
 
-    From 2000 rows the map has a ``screen`` (see :class:`LossMap`).  A row's
+    Second, the map has a ``screen`` (see :class:`LossMap`).  A row's
     loss increases with its score, ``|y - z|`` for the squared loss and
     ``-y z`` for the logistic, and a score moves by at most ``M |w - w_ref|``
     from a reference point ``w_ref``, where ``M`` is the largest row norm,
@@ -311,10 +298,18 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
     def eval_losses(w: np.ndarray) -> np.ndarray:
         return _loss_values(predictions(w), y, loss)
 
+    def dense_adjoint(x: np.ndarray, t: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # x.T @ r over rows x of phi, their targets t and predictions z; the
+        # screen's copies take it too: 25-80% of their rows carry weight on
+        # tall, and in cache the gather pays only below about 10% (at 6100 x
+        # 20, 33.5 us dense against 30.8 us gathered at 10%, 24 us against
+        # 83 us at 5200 x 20 and 77%)
+        return x.T @ (q * _loss_dz(z, t, loss))
+
     def adjoint(w: np.ndarray, q: np.ndarray) -> np.ndarray:
         q = _as_vector(q, n)
         z = predictions(w)
-        if n >= _SUPPORT_MIN_ROWS:
+        if n >= _ROW_GATE:
             carried = q != 0
             count = np.count_nonzero(carried)
             if _support_pays(count, n, d):
@@ -324,14 +319,7 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
                 for start in range(block, count, block):
                     grad += phi.take(rows[start:start + block], axis=0).T @ r[start:start + block]
                 return grad
-        return phi.T @ (q * _loss_dz(z, y, loss))
-
-    def kept_adjoint(x: np.ndarray, t: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-        # dense over the kept copy: 25-80% of its rows carry weight on tall,
-        # and in cache the gather pays only below about 10% (at 6100 x 20,
-        # 33.5 us dense against 30.8 us gathered at 10%, 24 us against 83 us
-        # at 5200 x 20 and 77%)
-        return x.T @ (q * _loss_dz(z, t, loss))
+        return dense_adjoint(phi, y, z, q)
 
     def holds(tau: float, s_k: float, reach: float, gap: float) -> bool:
         # every row of score at most tau + reach has a loss at least gap below
@@ -377,7 +365,7 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
                 reach = row_norm * (math.sqrt(float(step @ step)) + rounding * (w_norm + ref_norm))
                 if holds(tau, s_k, reach * (1.0 + 1e-9), gap):
                     z = x @ w
-                    return _loss_values(z, t, loss), partial(kept_adjoint, x, t, z)
+                    return _loss_values(z, t, loss), partial(dense_adjoint, x, t, z)
             z = predictions(w)
             scores = _scores(z, y, loss)
             # no reference from overflowed losses
@@ -390,13 +378,13 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
                         # take copies the rows in 0.6 of the time of phi[rows]
                         x, t, z = phi.take(rows, axis=0), y[rows], z[rows]
                         reference = (w.copy(), w_norm, s_k, tau, x, t)
-                        return _loss_values(z, t, loss), partial(kept_adjoint, x, t, z)
+                        return _loss_values(z, t, loss), partial(dense_adjoint, x, t, z)
             return full(w)
 
         return screened
 
     return LossMap(dim=d, n=n, eval=eval_losses, adjoint_apply=adjoint,
-                   screen=screen if n >= _SCREEN_MIN_ROWS else None)
+                   screen=screen if n >= _ROW_GATE else None)
 
 
 def grouped_loss_map(dataset: Dataset, model: ModelSpec, groups: GroupStructure) -> LossMap:

@@ -63,7 +63,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import _as_vector, _is_integer, _quantile, as_sample, check_tail, tail_cap
+from .core import _ROW_GATE, _as_vector, _is_integer, _quantile, as_sample, check_tail, tail_cap
 
 __all__ = [
     "SmoothingSpec",
@@ -89,10 +89,6 @@ _NEWTON_MAX_ITER = 100
 # the filter of solve_dual_1d cuts this factor below lo + s_floor = -(s_cap -
 # s_floor), so that a row within rounding of the floor stays a candidate
 _FLOOR_SLACK = 1.0 + 8.0 * np.finfo(float).eps
-# below this sample size the filter's mask, gather and scatter cost more than
-# the passes it shortens (3.5-6 us more on a 22-35 us warm euclidean solve
-# at n = 160, p = 0.9, on a 2-core host; at n = 1e3 about even)
-_FILTER_MIN_SIZE = 2000
 # points of the reconstruction check in density_from_smoothing
 _DENSITY_CHECK_POINTS = 41
 
@@ -336,9 +332,9 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
     ``-nu * slope / curvature``, under the same safeguards, where a cold
     solve bisects.
 
-    Before the first pass, on samples of at least ``_FILTER_MIN_SIZE`` rows
-    (below it the mask, gather and scatter cost more than they save), the
-    solve drops the rows at their floor weight for every ``eta >= lo =
+    Before the first pass, on samples of at least ``core._ROW_GATE`` rows
+    (2000; below it the mask, gather and scatter cost more than they save),
+    the solve drops the rows at their floor weight for every ``eta >= lo =
     -s_cap``: those with ``v_i <= lo + s_floor``, less a rounding margin.
     The passes run on the candidates, with the full sample's ``n`` and cap;
     a dropped row gets weight 0 and adds ``floor_value`` to the value.  For
@@ -370,7 +366,7 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
     # sit at the cap; at hi every weight is at most 1/n
     lo, hi = -kind.s_cap, float(v.max()) - kind.s_uniform
     dropped = n - m
-    if n >= _FILTER_MIN_SIZE:
+    if n >= _ROW_GATE:
         # indices from the mask: gathering and scattering through them is
         # several times faster than indexing with the mask itself
         candidates = np.flatnonzero(v > -kind.floor_gap)

@@ -1,5 +1,6 @@
 """Generators, CSV ingestion, splits, distribution shift."""
 
+import math
 import re
 
 import numpy as np
@@ -58,8 +59,12 @@ class TestSyntheticGenerator:
             SyntheticSpec(n=0, w_bar=(0, 0, 0))
         with pytest.raises(ValueError, match="fraction"):
             SyntheticSpec(n=5, w_bar=(0, 0, 0), mixture=(1.5, (0, 0, 0)))
-        with pytest.raises(ValueError, match="sigma must be nonnegative"):
-            SyntheticSpec(n=5, w_bar=(0, 0, 0), sigma=-0.1)
+        for n in (2.5, 5.0, True, np.float64(5.0)):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                SyntheticSpec(n=n, w_bar=(0, 0, 0))
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+                SyntheticSpec(n=5, w_bar=(0, 0, 0), sigma=sigma)
 
 
 class TestSplits:
@@ -81,9 +86,9 @@ class TestSplits:
         with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)"):
             split_indices(10, fraction, 0)
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, 5.5, 10.0, True])
     def test_fewer_than_two_rows_rejected(self, n):
-        with pytest.raises(ValueError, match="need at least two rows to split"):
+        with pytest.raises(ValueError, match="need at least two rows to split: n must be an integer"):
             split_indices(n, 0.5, 0)
 
 

@@ -19,7 +19,7 @@ from sqopt import (
     pointwise_loss_map,
     predict,
 )
-from sqopt import models
+from sqopt import core, models
 from sqopt.models import _loss_dz, _loss_values
 
 from reference import finite_difference
@@ -337,6 +337,22 @@ class TestSupportRestrictedAdjoint:
             q = weights_on(rng, n, count)
             assert_close_to_dense(lm.adjoint_apply(w, q), ds, loss, w, q)
         assert decisions == [True, True, True, False, False]
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_gather_from_the_row_gate(self, loss, monkeypatch):
+        # below the gate the adjoint is the dense product, without asking the share rule
+        pays, asked = models._support_pays, []
+        monkeypatch.setattr(models, "_support_pays", lambda *args: asked.append(args) or pays(*args))
+        gate = core._ROW_GATE
+        for n, gathered in ((gate - 1, False), (gate, True)):
+            asked.clear()
+            ds, lm, w, rng = support_instance(loss, n, 20)
+            q = weights_on(rng, n, n // 100)
+            grad = lm.adjoint_apply(w, q)
+            assert bool(asked) == gathered, n
+            assert_close_to_dense(grad, ds, loss, w, q)
+            if not gathered:
+                assert grad.tobytes() == dense_adjoint(ds, loss, w, q).tobytes()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, "3B+1"])
     def test_block_edges(self, offset):

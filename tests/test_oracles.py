@@ -551,7 +551,8 @@ class TestScreenedOracle:
 
     def test_screen_from_2000_rows(self):
         rng = np.random.default_rng(77)
-        for n, screened in ((1999, False), (2000, True)):
+        gate = sqopt.core._ROW_GATE
+        for n, screened in ((gate - 1, False), (gate, True)):
             ds = Dataset(rng.normal(0.0, 1.0, (n, 3)), rng.normal(0.0, 1.0, n))
             assert (pointwise_loss_map(ds, ModelSpec()).screen is not None) == screened, n
             groups = GroupStructure(np.arange(n) % 10)

@@ -509,7 +509,7 @@ class TestCandidateFilter:
 
     @pytest.fixture(autouse=True)
     def filter_always(self, monkeypatch):
-        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_SIZE", 1)
+        monkeypatch.setattr(smoothing_module, "_ROW_GATE", 1)
 
     @pytest.mark.parametrize("kind", list(smoothing_module._KINDS))
     def test_floor_bounds_the_dropped_weights(self, kind):
@@ -576,7 +576,7 @@ class TestCandidateFilter:
         instances = list(filter_instances(rng))
         filtered = [(solve_dual_1d(u, SmoothingSpec(kind, nu), p), floor_rows(u, SmoothingSpec(kind, nu), p))
                     for _, kind, u, p, nu in instances]
-        monkeypatch.setattr(smoothing_module, "_FILTER_MIN_SIZE", math.inf)
+        monkeypatch.setattr(smoothing_module, "_ROW_GATE", math.inf)
         for (label, kind, u, p, nu), (sol, dropped) in zip(instances, filtered):
             full = solve_dual_1d(u, SmoothingSpec(kind, nu), p)
             cap = tail_cap(u.size, p)
@@ -596,8 +596,8 @@ class TestFilterGate:
         gathered = []
         flatnonzero = np.flatnonzero
         monkeypatch.setattr(np, "flatnonzero", lambda mask: gathered.append(mask.size) or flatnonzero(mask))
-        for n, filtered in ((160, False), (smoothing_module._FILTER_MIN_SIZE - 1, False),
-                            (smoothing_module._FILTER_MIN_SIZE, True)):
+        gate = smoothing_module._ROW_GATE
+        for n, filtered in ((160, False), (gate - 1, False), (gate, True)):
             gathered.clear()
             sol = solve_dual_1d(rng.normal(0.0, 1.0, n) ** 2, spec, 0.9)
             assert bool(gathered) == filtered, n
