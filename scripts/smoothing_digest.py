@@ -38,8 +38,9 @@ Once per case, whatever the divergence, the exact side of ``sqopt.core`` adds
 weights) and ``superquantile_variational`` (value and eta).
 
 Once per run, the ``oracles`` part fits through each tree's oracles and
-``minimize``: on a seeded 5000 x 6 ``pointwise_loss_map`` of each loss, large
-enough for its screen, euclidean (nu = 1) and KL (nu = 0.01) fits of
+``minimize``: on a seeded 5000 x 6 ``pointwise_loss_map`` of each loss (the
+squared one large enough for its screen, the logistic one, which has none,
+for the full passes), euclidean (nu = 1) and KL (nu = 0.01) fits of
 ``smoothed_objective`` at p = 0.9 with ``reg = 1``, from zeros, in two rounds
 on one map; on both sides of ``core._ROW_GATE``, where the dual filter,
 the gathered adjoint and the screen switch on, a euclidean fit on its first

@@ -10,8 +10,8 @@ Exit codes: 0 on success (a reported optimizer failure still counts as a
 run), 2 on usage or data errors.  A command raises ``ValueError`` (or the
 ``OSError`` of a file it cannot read) for such an error; :func:`main` alone
 prints it as ``error: ...`` and returns 2.  With a fixed seed every written
-artifact is byte-identical across runs on one platform; wall time goes to
-stderr only.
+artifact is byte-identical across runs on one platform; :func:`main` times
+each command and prints the wall time of one that succeeds, to stderr only.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ def _tail_level(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed(text: str) -> int:
+    value = int(text)  # a ValueError here is argparse's "invalid _seed value"
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {value}")
+    return value
+
+
 def _parse_model(text: str) -> tuple[str, int]:
     if text == "linear":
         return "linear", 1
@@ -99,10 +106,6 @@ def _write_artifacts(out: str, report: dict, **tables: list[dict]) -> None:
                 writer.writerows(rows)
 
 
-def _print_wall_time(started: float) -> None:
-    print(f"wall time: {time.perf_counter() - started:.2f}s", file=sys.stderr)
-
-
 def cmd_eval(args) -> None:
     if args.smoothing is not None and args.nu is None:
         raise ValueError("--smoothing applies only with --nu")
@@ -126,7 +129,6 @@ def cmd_eval(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    started = time.perf_counter()
     # both specs are checked before the data is read, the strength first
     settings = FitSettings(smoothing=SmoothingSpec(args.smoothing, args.nu),
                            model=ModelSpec(*args.model, loss=args.loss),
@@ -139,7 +141,6 @@ def cmd_fit(args) -> None:
     _write_artifacts(args.out, report, predictions=predictions, weights=weight_rows)
     for name, entry in report["models"].items():
         print(f"{name}: status={entry['optim']['status']} test={entry['metrics']['test']}")
-    _print_wall_time(started)
 
 
 def _study_dataset(name: str, args):
@@ -159,7 +160,6 @@ def _study_dataset(name: str, args):
 
 
 def cmd_experiment(args) -> None:
-    started = time.perf_counter()
     name = args.name
     if args.synthetic and name != "credit":
         raise ValueError("--synthetic is for experiment 'credit' only")
@@ -180,11 +180,9 @@ def cmd_experiment(args) -> None:
             for name, entry in report["models"].items()
         }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    _print_wall_time(started)
 
 
 def cmd_sweep_nu(args) -> None:
-    started = time.perf_counter()
     if args.data is None:
         if args.values is None and args.input is None:
             raise ValueError("sweep-nu needs --values/--input or --data with --weights/--fit-first")
@@ -217,7 +215,6 @@ def cmd_sweep_nu(args) -> None:
     report, rows, weight_rows = run_sweep(values, args.p, kind=args.smoothing, grid=args.grid)
     _write_artifacts(args.out, report, sweep=rows, weights_by_nu=weight_rows)
     print(json.dumps(report["endpoints"], indent=2, sort_keys=True))
-    _print_wall_time(started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--nu", type=float, default=STUDY_SMOOTHING.nu)
     p_fit.add_argument("--smoothing", choices=tuple(_KINDS), default=STUDY_SMOOTHING.kind)
     p_fit.add_argument("--reg", type=float, default=defaults.reg)
-    p_fit.add_argument("--seed", type=int, default=defaults.seed)
+    p_fit.add_argument("--seed", type=_seed, default=defaults.seed)
     p_fit.add_argument("--split", type=float, default=defaults.train_fraction, help="train fraction")
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
     p_exp = sub.add_parser("experiment", help="run a named study", allow_abbrev=False)
     p_exp.add_argument("name", choices=EXPERIMENTS)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=_seed, default=0)
     p_exp.add_argument("--out", required=True)
     exp_source = p_exp.add_mutually_exclusive_group()
     exp_source.add_argument("--data", default=None, help="dataset CSV for abalone/credit")
@@ -279,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--smoothing", choices=tuple(_KINDS), default=STUDY_SMOOTHING.kind)
     p_sweep.add_argument("--grid", type=_float_list, default=None,
                          help="comma-separated nu grid (default: log-spaced around the data scale)")
-    p_sweep.add_argument("--seed", type=int, default=defaults.seed, help="read by --fit-first only")
+    p_sweep.add_argument("--seed", type=_seed, default=defaults.seed, help="read by --fit-first only")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep_nu)
     return parser
@@ -288,11 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"wall time: {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return 0
 
 

@@ -30,12 +30,23 @@ X_LOW, X_HIGH = -1.0, 3.0
 N_CONFORMING_DEVICES = 4
 
 
+def _check_seed(seed) -> None:
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def _check_coefficients(values, name: str) -> None:
+    if not (np.shape(values) == (3,) and np.isfinite(np.asarray(values, dtype=float)).all()):
+        raise ValueError(f"{name} must be three finite numbers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Quadratic-trend regression sample ``y = w0 + w1 x + w2 x^2 + noise``.
 
     ``mixture`` optionally routes a fraction of the rows through an alternate
-    coefficient vector, modelling a non-conforming subpopulation.
+    coefficient vector, modelling a non-conforming subpopulation.  Each
+    coefficient vector is three finite numbers, and the seed an integer >= 0.
     """
 
     n: int
@@ -50,10 +61,13 @@ class SyntheticSpec:
         # written so that a NaN fails it too
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma!r}")
+        _check_coefficients(self.w_bar, "w_bar")
+        _check_seed(self.seed)
         if self.mixture is not None:
-            fraction = self.mixture[0]
+            fraction, alt_w = self.mixture
             if not 0.0 < fraction < 1.0:
                 raise ValueError("mixture fraction must be in (0, 1)")
+            _check_coefficients(alt_w, "mixture coefficients")
 
 
 def _quadratic(coeffs, x: np.ndarray) -> np.ndarray:
@@ -93,6 +107,7 @@ def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray,
         raise ValueError("train_fraction must be in (0, 1)")
     if not _is_integer(n) or n < 2:
         raise ValueError(f"need at least two rows to split: n must be an integer >= 2, got {n!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(round(train_fraction * n))
@@ -173,6 +188,7 @@ def downsample_majority(dataset: Dataset, ratio: float = 0.10, seed: int = 0) ->
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
+    _check_seed(seed)
     y = dataset.targets
     labels = np.unique(y)
     if labels.size != 2:

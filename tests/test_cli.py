@@ -527,6 +527,33 @@ class TestAbbreviatedOptionsRejected:
         assert (out / "report.json").exists()
 
 
+class TestSeedFlag:
+    """A ``--seed`` below 0 exits 2 at the flag, naming it, before any data is read."""
+
+    @pytest.mark.parametrize("command", [["fit", "--data", "nosuch.csv"], ["experiment", "convergence"],
+                                         ["sweep-nu", "--values", "1,2,3", "--p", "0.5"],
+                                         ["sweep-nu", "--data", "nosuch.csv", "--fit-first", "--p", "0.9"]])
+    def test_negative_seed(self, command, tmp_path, capsys):
+        command = [str(tmp_path / arg) if arg == "nosuch.csv" else arg for arg in command]
+        assert exit_code([*command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: seed must be an integer >= 0, got -1" in captured.err
+        assert not (tmp_path / "o").exists()
+
+
+class TestWallTime:
+    """``main`` prints the wall time of a command that succeeds, on stderr, and none on an error."""
+
+    def test_eval(self, capsys):
+        assert run(["eval", "--values", "1,2,3", "--p", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert "wall time" not in captured.out
+        assert captured.err.startswith("wall time: ")
+        assert run(["eval", "--values", ",", "--p", "0.5"]) == 2
+        assert "wall time" not in capsys.readouterr().err
+
+
 class TestEmptyOrNonFiniteSample:
     """A bad sample exits 2 with the library's message before any output."""
 

@@ -65,6 +65,15 @@ class TestSyntheticGenerator:
         for sigma in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
                 SyntheticSpec(n=5, w_bar=(0, 0, 0), sigma=sigma)
+        # a vector of another length, or one with a NaN, is named before any draw
+        for coeffs in ((1, 2), (1, 2, 3, 4), (0, math.nan, 0), (0, 0, math.inf)):
+            with pytest.raises(ValueError, match="w_bar must be three finite numbers"):
+                SyntheticSpec(n=5, w_bar=coeffs)
+            with pytest.raises(ValueError, match="mixture coefficients must be three finite numbers"):
+                SyntheticSpec(n=5, w_bar=(0, 0, 0), mixture=(0.5, coeffs))
+        for seed in (-1, 1.5, 2.0, True, None):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                SyntheticSpec(n=5, w_bar=(0, 0, 0), seed=seed)
 
 
 class TestSplits:
@@ -90,6 +99,11 @@ class TestSplits:
     def test_fewer_than_two_rows_rejected(self, n):
         with pytest.raises(ValueError, match="need at least two rows to split: n must be an integer"):
             split_indices(n, 0.5, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            split_indices(10, 0.8, seed)
 
 
 def write(tmp_path, name, text):
@@ -225,3 +239,8 @@ class TestDownsampleMajority:
         ds = self._binary(10, 10)
         with pytest.raises(ValueError, match="ratio"):
             downsample_majority(ds, 0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_validation(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            downsample_majority(self._binary(10, 10), 0.5, seed=seed)

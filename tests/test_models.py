@@ -58,6 +58,10 @@ class TestDataset:
         for indices in ([0.7], [0.7, 2.9], [1, math.nan], [math.inf]):
             with pytest.raises(ValueError, match="row indices must be finite integers"):
                 ds.subset(indices)
+        # a negative position would count from the end, and one past the end would reach numpy
+        for indices in ([-1], [0, 5], [7.0], [1e300]):
+            with pytest.raises(ValueError, match=r"row indices must lie in \[0, 5\)"):
+                ds.subset(indices)
         np.testing.assert_array_equal(ds.subset([1.0]).targets, [1.0])
         np.testing.assert_array_equal(ds.subset(np.array([1.0, 3.0])).targets, [1.0, 3.0])
         np.testing.assert_array_equal(ds.subset([True, False, True, False, False]).targets, [0.0, 2.0])

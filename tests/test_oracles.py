@@ -427,15 +427,23 @@ class TestOneDualSolvePerCall:
         assert starts[1:] == [sol.start for sol in solutions[:-1]]
 
 
-def screened_maps(seed):
-    """A 5000-row map of each loss, with its screen, and the same map rebuilt without one."""
+def screened_data(seed):
+    """5000 rows of 6 features, their noisy regression targets and their signs as labels."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (5000, 6))
     trend = x @ rng.normal(0.0, 1.0, 6)
     noisy = trend + (0.5 + np.abs(x[:, 0])) * rng.normal(0.0, 1.0, 5000)
-    for loss, y in (("squared", noisy), ("logistic", np.where(noisy > 0.0, 1.0, -1.0))):
-        lm = pointwise_loss_map(Dataset(x, y), ModelSpec(loss=loss))
-        yield loss, lm, LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply)
+    return x, noisy, np.where(noisy > 0.0, 1.0, -1.0)
+
+
+def screened_maps(seed):
+    """A 5000-row squared-loss map, with its screen, and the same map rebuilt without one.
+
+    Only squared-loss maps carry a screen.
+    """
+    x, noisy, _ = screened_data(seed)
+    lm = pointwise_loss_map(Dataset(x, noisy), ModelSpec())
+    yield "squared", lm, LossMap(lm.dim, lm.n, lm.eval, lm.adjoint_apply)
 
 
 class TestScreenedOracle:
@@ -519,8 +527,8 @@ class TestScreenedOracle:
 
     def test_interleaved_closures_keep_their_own_reference(self, monkeypatch):
         full_passes = []
-        scores = sqopt.models._scores
-        monkeypatch.setattr(sqopt.models, "_scores", lambda z, y, loss: full_passes.append(1) or scores(z, y, loss))
+        residuals = sqopt.models._residuals
+        monkeypatch.setattr(sqopt.models, "_residuals", lambda z, y: full_passes.append(1) or residuals(z, y))
         _, lm, plain = next(screened_maps(75))
         rng = np.random.default_rng(76)
         spec = SmoothingSpec("euclidean", 1.0)
@@ -557,6 +565,25 @@ class TestScreenedOracle:
             assert (pointwise_loss_map(ds, ModelSpec()).screen is not None) == screened, n
             groups = GroupStructure(np.arange(n) % 10)
             assert grouped_loss_map(ds, ModelSpec(), groups).screen is None
+            # a logistic map has no screen on either side of the gate
+            labels = Dataset(ds.features, np.where(ds.targets > 0.0, 1.0, -1.0))
+            assert pointwise_loss_map(labels, ModelSpec(loss="logistic")).screen is None, n
+
+    @pytest.mark.parametrize("kind,nu", [("euclidean", 1.0), ("kl", 0.01)])
+    def test_logistic_closure_takes_the_full_passes(self, kind, nu):
+        # no screen on a logistic map: a closure's first, cold, call makes the
+        # same eval, solve and adjoint_apply as the one-shot oracle
+        x, _, labels = screened_data(81)
+        lm = pointwise_loss_map(Dataset(x, labels), ModelSpec(loss="logistic"))
+        spec = SmoothingSpec(kind, nu)
+        rng = np.random.default_rng(82)
+        w = np.zeros(lm.dim)
+        for scale in (0.0, 1e-3, 0.3, 2.0):
+            w = w + scale * rng.normal(0.0, 1.0, lm.dim)
+            value, grad = smoothed_objective(lm, 0.9, spec)(w)
+            one_shot_value, one_shot_grad = smoothed_value_grad(lm, w, 0.9, spec)
+            assert value == one_shot_value, scale
+            assert grad.tobytes() == one_shot_grad.tobytes(), scale
 
     def test_no_copy_past_the_break_even_share(self, solves):
         # a euclidean copy holds about 1 - p + 0.01 of the rows: 56% is kept, 71% is not
