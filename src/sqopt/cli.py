@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_sample, check_tail, quantile, superquantile_dual, superquantile_integral, superquantile_variational
+from .core import (_check_integer, as_sample, check_tail, quantile, superquantile_dual, superquantile_integral,
+                   superquantile_variational)
 from .data import load_csv
 from .experiments import (
     STUDY_SMOOTHING,
@@ -62,9 +63,10 @@ def _tail_level(text: str) -> float:
 
 def _seed(text: str) -> int:
     value = int(text)  # a ValueError here is argparse's "invalid _seed value"
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {value}")
-    return value
+    try:
+        return _check_integer(value, "seed", 0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_model(text: str) -> tuple[str, int]:

@@ -91,6 +91,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_integer(value, name: str, least: int):
+    """``value`` if it is an integer (:func:`_is_integer`) >= ``least``, else ``ValueError`` naming ``name``."""
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _as_vector(values, size: int, name: str = "weights") -> np.ndarray:
     """``values`` as a float array of shape ``(size,)``; any other shape raises ``ValueError``."""
     values = np.asarray(values, dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _is_integer
+from .core import _check_integer
 from .models import Dataset, GroupStructure
 
 __all__ = [
@@ -30,11 +30,6 @@ X_LOW, X_HIGH = -1.0, 3.0
 N_CONFORMING_DEVICES = 4
 
 
-def _check_seed(seed) -> None:
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def _check_coefficients(values, name: str) -> None:
     if not (np.shape(values) == (3,) and np.isfinite(np.asarray(values, dtype=float)).all()):
         raise ValueError(f"{name} must be three finite numbers, got {values!r}")
@@ -45,8 +40,9 @@ class SyntheticSpec:
     """Quadratic-trend regression sample ``y = w0 + w1 x + w2 x^2 + noise``.
 
     ``mixture`` optionally routes a fraction of the rows through an alternate
-    coefficient vector, modelling a non-conforming subpopulation.  Each
-    coefficient vector is three finite numbers, and the seed an integer >= 0.
+    coefficient vector, modelling a non-conforming subpopulation; it is a
+    ``(fraction, coefficients)`` pair.  Each coefficient vector is three
+    finite numbers, and the seed an integer >= 0.
     """
 
     n: int
@@ -56,14 +52,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        _check_integer(self.n, "n", 1)
         # written so that a NaN fails it too
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma!r}")
         _check_coefficients(self.w_bar, "w_bar")
-        _check_seed(self.seed)
+        _check_integer(self.seed, "seed", 0)
         if self.mixture is not None:
+            if not (isinstance(self.mixture, (tuple, list)) and len(self.mixture) == 2):
+                raise ValueError(f"mixture must be a (fraction, coefficients) pair, got {self.mixture!r}")
             fraction, alt_w = self.mixture
             if not 0.0 < fraction < 1.0:
                 raise ValueError("mixture fraction must be in (0, 1)")
@@ -105,9 +102,8 @@ def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray,
     """Disjoint train/test row indices (sorted), together covering all rows."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    if not _is_integer(n) or n < 2:
-        raise ValueError(f"need at least two rows to split: n must be an integer >= 2, got {n!r}")
-    _check_seed(seed)
+    _check_integer(n, "need at least two rows to split: n", 2)
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(round(train_fraction * n))
@@ -188,7 +184,7 @@ def downsample_majority(dataset: Dataset, ratio: float = 0.10, seed: int = 0) ->
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
-    _check_seed(seed)
+    _check_integer(seed, "seed", 0)
     y = dataset.targets
     labels = np.unique(y)
     if labels.size != 2:

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _ROW_GATE, _as_vector, _is_integer
+from .core import _ROW_GATE, _as_vector, _check_integer, _is_integer
 from .oracles import LossMap
 
 __all__ = [
@@ -71,10 +71,13 @@ class Dataset:
 
         A position may be an integral float such as ``1.0``; any other float,
         a NaN or infinite one, or one outside ``[0, n_rows)`` raises
-        ``ValueError``.
+        ``ValueError``, as does a mask of other than ``n_rows`` entries.
         """
         idx = np.asarray(indices)
-        if idx.dtype != bool:  # positions, an empty list too
+        if idx.dtype == bool:
+            if idx.shape != (self.n_rows,):
+                raise ValueError(f"row mask must have shape ({self.n_rows},), got {idx.shape}")
+        else:  # positions, an empty list too
             idx = _integral(idx, "row indices")
             if idx.size and not (idx.min() >= 0 and idx.max() < self.n_rows):
                 raise ValueError(f"row indices must lie in [0, {self.n_rows})")
@@ -97,12 +100,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not _is_integer(self.degree):
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
-        if self.kind == "linear" and self.degree != 1:
+        if self.kind == "linear" and _is_integer(self.degree) and self.degree != 1:
             raise ValueError(f"a linear model has degree 1, got {self.degree}")
+        _check_integer(self.degree, "degree", 1)
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _is_integer
+from .core import _check_integer
 from .oracles import finite_difference_grad
 
 __all__ = ["OptimResult", "minimize", "check_oracle"]
@@ -131,8 +131,7 @@ def minimize(oracle, w0, max_iter: int = 500) -> OptimResult:
     0 returns the start), or an unusable line search
     (``line_search_failure``, including non-finite oracle output).
     """
-    if not _is_integer(max_iter) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    _check_integer(max_iter, "max_iter", 0)
     w = np.array(w0, dtype=float).copy()
     f, g = oracle(w)
     g = np.asarray(g, dtype=float)

@@ -63,7 +63,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import _ROW_GATE, _as_vector, _is_integer, _quantile, as_sample, check_tail, tail_cap
+from .core import _ROW_GATE, _as_vector, _check_integer, _quantile, as_sample, check_tail, tail_cap
 
 __all__ = [
     "SmoothingSpec",
@@ -151,9 +151,7 @@ class _Divergence:
     """
 
     def __init__(self, nu: float, n: int, p: float):
-        if not _is_integer(n) or n < 1:
-            raise ValueError(f"sample size n must be an integer >= 1, got {n!r}")
-        self.nu, self.n, self.p = nu, n, check_tail(p)
+        self.nu, self.n, self.p = nu, _check_integer(n, "sample size n", 1), check_tail(p)
         self.cap = tail_cap(n, self.p)
 
     @property
@@ -355,10 +353,7 @@ def solve_dual_1d(values, spec: SmoothingSpec, p: float, start: float | None = N
     """
     u = as_sample(values)
     m = u.size
-    if n is None:
-        n = m
-    elif not _is_integer(n) or n < m:
-        raise ValueError(f"sample size n must be an integer >= {m}, the values given, got {n!r}")
+    n = m if n is None else _check_integer(n, "sample size n", m)
     kind = _KINDS[spec.kind](spec.nu, n, p)
     shift = _quantile(u, kind.p, n - m)
     v = u - shift

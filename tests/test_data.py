@@ -74,6 +74,10 @@ class TestSyntheticGenerator:
         for seed in (-1, 1.5, 2.0, True, None):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
                 SyntheticSpec(n=5, w_bar=(0, 0, 0), seed=seed)
+        # a mixture of another shape is named before its fraction and coefficients are read
+        for mixture in ((0.5,), (0.5, (1, 2, 3), 7), 0.5):
+            with pytest.raises(ValueError, match=r"mixture must be a \(fraction, coefficients\) pair"):
+                SyntheticSpec(n=5, w_bar=(0, 0, 0), mixture=mixture)
 
 
 class TestSplits:

@@ -66,6 +66,14 @@ class TestDataset:
         np.testing.assert_array_equal(ds.subset(np.array([1.0, 3.0])).targets, [1.0, 3.0])
         np.testing.assert_array_equal(ds.subset([True, False, True, False, False]).targets, [0.0, 2.0])
 
+    def test_subset_mask_must_cover_every_row(self):
+        # a short mask would reach numpy's IndexError, and an empty one would select no row
+        ds = Dataset(np.arange(4.0), np.arange(4.0))
+        for mask in ([True, False], np.array([], dtype=bool)):
+            with pytest.raises(ValueError, match=r"row mask must have shape \(4,\)"):
+                ds.subset(mask)
+        assert ds.subset([]).n_rows == 0
+
 
 class TestModelSpec:
     def test_validation(self):
