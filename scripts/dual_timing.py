@@ -132,10 +132,9 @@ def check(label: str, sol, u: np.ndarray, spec: SmoothingSpec) -> list[str]:
 
 
 def candidate_share(u: np.ndarray, spec: SmoothingSpec) -> float:
-    """Share of rows above the candidate filter's floor."""
-    kind = sm._KINDS[spec.kind](spec.nu, u.size, P)
+    """Share of rows the candidate filter keeps: those above the floor gap below the quantile."""
     v = u - sm._quantile(u, P)
-    return float(np.count_nonzero(v > -kind.s_cap + kind.s_floor)) / u.size
+    return float(np.count_nonzero(v > -sm._floor_gap(spec, u.size, P))) / u.size
 
 
 def regression_with_losses(seed: int, losses: np.ndarray):

@@ -34,8 +34,10 @@ LOSSES = ("squared", "logistic")
 
 
 def _integral(values, name: str) -> np.ndarray:
-    """``values`` as a float array, if every entry is a finite integer such as ``1`` or ``1.0``."""
+    """``values`` as a 1-D float array, if every entry is a finite integer such as ``1`` or ``1.0``."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {values.shape}")
     if not (np.isfinite(values) & (np.trunc(values) == values)).all():
         raise ValueError(f"{name} must be finite integers")
     return values
@@ -69,9 +71,10 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Rows at integer positions or where a boolean mask is true.
 
-        A position may be an integral float such as ``1.0``; any other float,
-        a NaN or infinite one, or one outside ``[0, n_rows)`` raises
-        ``ValueError``, as does a mask of other than ``n_rows`` entries.
+        Positions form a 1-D array; a position may be an integral float such
+        as ``1.0``.  Any other float, a NaN or infinite one, one outside
+        ``[0, n_rows)``, positions of any other shape (a scalar too) and a
+        mask of other than ``n_rows`` entries raise ``ValueError``.
         """
         idx = np.asarray(indices)
         if idx.dtype == bool:
@@ -116,15 +119,16 @@ class ModelSpec:
 class GroupStructure:
     """A partition of the rows: each row's group index, the groups 0..m-1 all non-empty.
 
-    An index may be given as an integral float such as ``1.0``; any other
-    float, or a NaN or infinite index, raises ``ValueError``.  The structure
+    The indices form a 1-D array, one per row; an index may be given as an
+    integral float such as ``1.0``.  Any other float, a NaN or infinite
+    index, or indices of any other shape raise ``ValueError``.  The structure
     holds no group weights: a group's loss is the plain average over its rows.
     """
 
     assignment: np.ndarray
 
     def __post_init__(self):
-        indices = _integral(self.assignment, "group indices").reshape(-1)
+        indices = _integral(self.assignment, "group indices")
         if indices.size == 0:
             raise ValueError("empty group assignment")
         if indices.min() < 0:
@@ -317,34 +321,15 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
         high = tau + reach
         return 0.5 * high * high * (1.0 + 1e-12) <= 0.5 * max(s_k - reach, 0.0) ** 2 * (1.0 - 1e-12) - gap
 
-    def omittable(residuals: np.ndarray, k: int, gap: float) -> tuple[float, np.ndarray, int]:
-        """The k-th smallest residual, the ``k - 1`` below it, and how many of those a copy leaves out.
-
-        Those are the rows that cannot reach the tail at this point, less
-        the margin, or none if the copy would hold too many rows.
-        """
-        part = np.partition(residuals, k - 1)
-        s_k = float(part[k - 1])
-        below = part[:k - 1]
-        # rows above the residual whose loss is gap below the k-th can reach the tail; all do if that is < 0
-        low = 0.5 * s_k * s_k - gap
-        free = below.size - int(np.count_nonzero(below > (math.sqrt(2.0 * low) if low >= 0.0 else -math.inf)))
-        omitted = free - math.ceil(_SCREEN_MARGIN * residuals.size)
-        return s_k, below, omitted if residuals.size - omitted <= _SCREEN_MAX_SHARE * residuals.size else 0
-
     def screen(k: int, gap: float):
         nonlocal row_norm
         # (w_ref, |w_ref|, k-th residual s_k, largest omitted residual tau,
         # kept rows of phi, their targets), replaced as one tuple
         reference = None
-
-        def full(w: np.ndarray):
-            z = predictions(w)
-            return _loss_values(z, y, loss), partial(adjoint, w)
-
+        margin = math.ceil(_SCREEN_MARGIN * n)
         # the rows from the k-th up alone fill more than the copy may hold
-        if n - k + 1 + math.ceil(_SCREEN_MARGIN * n) > _SCREEN_MAX_SHARE * n:
-            return full
+        if n - k + 1 + margin > _SCREEN_MAX_SHARE * n:
+            return lambda w: (eval_losses(w), partial(adjoint, w))
         if row_norm is None:
             row_norm = math.sqrt(float(np.einsum("ij,ij->i", phi, phi).max()))
 
@@ -363,8 +348,15 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
             # no reference from overflowed losses
             top = float(residuals.max())
             if math.isfinite(0.5 * top * top):
-                s_k, below, omitted = omittable(residuals, k, gap)
-                if omitted > 0:
+                # the k-th smallest residual and the k - 1 below it
+                part = np.partition(residuals, k - 1)
+                s_k, below = float(part[k - 1]), part[:k - 1]
+                # rows above the residual whose loss is gap below the k-th can reach the tail; all do if that is < 0
+                low = 0.5 * s_k * s_k - gap
+                free = below.size - int(np.count_nonzero(below > (math.sqrt(2.0 * low) if low >= 0.0 else -math.inf)))
+                # the rows that cannot reach the tail less the margin, none if the copy would hold too many
+                omitted = free - margin
+                if omitted > 0 and n - omitted <= _SCREEN_MAX_SHARE * n:
                     tau = float(np.partition(below, omitted - 1)[omitted - 1])
                     if holds(tau, s_k, row_norm * rounding * 2.0 * w_norm, gap):
                         rows = np.flatnonzero(residuals > tau)
@@ -372,7 +364,7 @@ def pointwise_loss_map(dataset: Dataset, model: ModelSpec) -> LossMap:
                         x, t, z = phi.take(rows, axis=0), y[rows], z[rows]
                         reference = (w.copy(), w_norm, s_k, tau, x, t)
                         return _loss_values(z, t, loss), partial(dense_adjoint, x, t, z)
-            return full(w)
+            return _loss_values(z, y, loss), partial(adjoint, w)
 
         return screened
 

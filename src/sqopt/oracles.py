@@ -24,7 +24,7 @@ gradient, a failed step for ``minimize``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -176,36 +176,19 @@ def subdifferential(loss_map: LossMap, w, p: float) -> SubdifferentialDescriptio
                                       hull_weight=hull_weight, selected=selected)
 
 
-def _smoothed(loss_map: LossMap, p: float, spec: SmoothingSpec, reg: float, losses: Callable[[np.ndarray], tuple],
-              n: int | None) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Closure ``w -> (value, grad)`` of the smoothed objective over ``losses``, one solve per call.
-
-    Each call solves with ``n``, the whole sample's size for screened losses
-    and ``None`` for all of them, from the previous solution's ``start``.
-    """
-    start = None
-
-    def value_weights(u) -> tuple[float, np.ndarray]:
-        nonlocal start
-        sol = solve_dual_1d(u, spec, p, start=start, n=n)
-        start = sol.start
-        return sol.value, sol.weights
-
-    return _objective(losses, loss_map.n, reg, value_weights)
-
-
 def smoothed_value_grad(loss_map: LossMap, w, p: float,
                         spec: SmoothingSpec) -> tuple[float, np.ndarray]:
     """Value and gradient of the smoothed tail-risk objective.
 
-    The smoothed weights come from the scalar dual solve on the loss values,
-    and the gradient is their adjoint image.  Exactly one ``eval`` and one
-    ``adjoint_apply`` per call, and one cold solve: a loss map's ``screen``
-    is not used, so the result depends on the arguments only, and a screened
-    :func:`smoothed_objective` agrees with it to rounding.  Non-finite
-    losses give the value ``inf`` and a NaN gradient, without an adjoint.
+    The first call of a fresh :func:`smoothed_objective` closure on the map
+    without its ``screen``: the smoothed weights come from one cold scalar
+    dual solve on the loss values, and the gradient is their adjoint image.
+    Exactly one ``eval`` and one ``adjoint_apply`` per call, so the result
+    depends on the arguments only, and a screened closure agrees with it to
+    rounding.  Non-finite losses give the value ``inf`` and a NaN gradient,
+    without an adjoint.
     """
-    return _smoothed(loss_map, check_tail(p), spec, 0.0, _full(loss_map), None)(w)
+    return smoothed_objective(replace(loss_map, screen=None), p, spec)(w)
 
 
 def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
@@ -219,7 +202,7 @@ def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
     components and ``gap`` the one below which the solve drops a row, and
     each call takes its losses and adjoint from the screened closure that
     returns, solving with the map's ``n``; otherwise one ``eval`` and one
-    ``adjoint_apply``.
+    ``adjoint_apply``, and the solve counts the losses it is given.
     The closure carries state: it keeps the last solution's ``start`` and
     starts the next solve's Newton iteration there, which saves a quarter
     to a half of the passes over the losses along a solver's path, and the
@@ -231,8 +214,18 @@ def smoothed_objective(loss_map: LossMap, p: float, spec: SmoothingSpec,
     """
     p, n = check_tail(p), loss_map.n
     if loss_map.screen is None:
-        return _smoothed(loss_map, p, spec, reg, _full(loss_map), None)
-    return _smoothed(loss_map, p, spec, reg, loss_map.screen(_rank(n, p), _floor_gap(spec, n, p)), n)
+        losses, n = _full(loss_map), None
+    else:
+        losses = loss_map.screen(_rank(n, p), _floor_gap(spec, n, p))
+    start = None
+
+    def value_weights(u) -> tuple[float, np.ndarray]:
+        nonlocal start
+        sol = solve_dual_1d(u, spec, p, start=start, n=n)
+        start = sol.start
+        return sol.value, sol.weights
+
+    return _objective(losses, loss_map.n, reg, value_weights)
 
 
 def erm_objective(loss_map: LossMap, reg: float = 0.0) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:

@@ -66,6 +66,13 @@ class TestDataset:
         np.testing.assert_array_equal(ds.subset(np.array([1.0, 3.0])).targets, [1.0, 3.0])
         np.testing.assert_array_equal(ds.subset([True, False, True, False, False]).targets, [0.0, 2.0])
 
+    def test_subset_positions_must_be_one_dimensional(self):
+        # a 2-D array of positions would select a 2 x 2 x 2 block and fail as a row count mismatch
+        ds = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        for indices, shape in (([[0, 1], [2, 3]], r"\(2, 2\)"), (np.array([[1.0]]), r"\(1, 1\)"), (2, r"\(\)")):
+            with pytest.raises(ValueError, match=rf"row indices must be a 1-D array, got shape {shape}"):
+                ds.subset(indices)
+
     def test_subset_mask_must_cover_every_row(self):
         # a short mask would reach numpy's IndexError, and an empty one would select no row
         ds = Dataset(np.arange(4.0), np.arange(4.0))
@@ -492,6 +499,13 @@ class TestGroupStructure:
     def test_indices_must_be_finite_integers(self, assignment):
         # a cast to int would truncate [0.5, 1.7, 1.2] to [0, 1, 1]
         with pytest.raises(ValueError, match="group indices must be finite integers"):
+            GroupStructure(assignment)
+
+    @pytest.mark.parametrize("assignment, shape", [([[0, 1], [1, 0]], r"\(2, 2\)"), (np.zeros((3, 1)), r"\(3, 1\)"),
+                                                   (0, r"\(\)")], ids=["square", "column", "scalar"])
+    def test_indices_must_be_one_dimensional(self, assignment, shape):
+        # a flattened [[0, 1], [1, 0]] would be a partition of 4 rows
+        with pytest.raises(ValueError, match=rf"group indices must be a 1-D array, got shape {shape}"):
             GroupStructure(assignment)
 
     def test_integral_float_indices_accepted(self):

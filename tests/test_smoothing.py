@@ -500,6 +500,26 @@ def filter_instances(rng):
         yield "integer ties", kind, np.round(rng.normal(0.0, 2.0, 300)), 0.8, 1e-3
 
 
+class TestIterationBudget:
+    """A solve that spends ``_NEWTON_MAX_ITER`` passes returns the solution at its last ``eta``."""
+
+    # nu where neither kind converges within two passes, below and above the row gate
+    @pytest.mark.parametrize("kind, nu", [("euclidean", 20.0), ("kl", 0.05)])
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("n", [50, 3000])
+    def test_spent_budget_returns_its_own_threshold(self, kind, nu, budget, n, monkeypatch):
+        monkeypatch.setattr(smoothing_module, "_NEWTON_MAX_ITER", budget)
+        u = np.random.default_rng(31).normal(0.0, 2.0, n)
+        p, spec = 0.9, SmoothingSpec(kind, nu)
+        sol = solve_dual_1d(u, spec, p)
+        # the budget ran out before the slope reached its tolerance
+        assert abs(sol.weights.sum() - 1.0) > 1e-6
+        s = u - sol.threshold
+        np.testing.assert_allclose(sol.weights, scalar_conjugate_grad(s, spec, n, p), rtol=0.0,
+                                   atol=1e-12 * tail_cap(n, p))
+        assert relative_gap(sol.value, sol.threshold + scalar_conjugate(s, spec, n, p).sum()) <= 1e-12
+
+
 class TestCandidateFilter:
     """The dual solve drops the rows at their floor weight before its first pass.
 
